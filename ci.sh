@@ -18,12 +18,12 @@ cargo run --release -p carat-bench --bin exp_bench -- --emit --sequential --out 
 cmp "${TMPDIR:-/tmp}/sweep_par.json" "${TMPDIR:-/tmp}/sweep_seq.json"
 echo "== sweep determinism gate (acceleration on)"
 # Accelerated solves must also be byte-identical across thread counts.
-cargo run --release -p carat-bench --bin exp_bench -- --emit --accel aitken --threads 4 --out "${TMPDIR:-/tmp}/sweep_acc_par.json"
-cargo run --release -p carat-bench --bin exp_bench -- --emit --accel aitken --sequential --out "${TMPDIR:-/tmp}/sweep_acc_seq.json"
+cargo run --release -p carat-bench --bin exp_bench -- --emit --accel anderson --threads 4 --out "${TMPDIR:-/tmp}/sweep_acc_par.json"
+cargo run --release -p carat-bench --bin exp_bench -- --emit --accel anderson --sequential --out "${TMPDIR:-/tmp}/sweep_acc_seq.json"
 cmp "${TMPDIR:-/tmp}/sweep_acc_par.json" "${TMPDIR:-/tmp}/sweep_acc_seq.json"
 echo "== solver iteration regression gate"
-# Plain per-point counts within +10% of the pinned reference; accelerated
-# totals at most 70% of the plain total (DESIGN.md §12).
+# Plain per-point counts within +10% of the pinned reference; the Anderson
+# total at most 70% of the plain total (DESIGN.md §12).
 cargo run --release -p carat-bench --bin exp_bench -- --check-iters
 echo "== sim determinism gate"
 cargo run --release -p carat-bench --bin exp_bench -- --emit-sim --threads 4 --out "${TMPDIR:-/tmp}/sim_par.json"

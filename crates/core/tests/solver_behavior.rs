@@ -1,7 +1,7 @@
 //! Behavioural tests of the fixed-point solver: the model must respond to
 //! its inputs the way queueing theory demands.
 
-use carat_model::{Model, ModelConfig, ModelOptions, ModelReport, MvaAlgo};
+use carat_model::{Model, ModelConfig, ModelOptions, ModelReport};
 use carat_obs::IterLog;
 use carat_workload::{NodeParams, StandardWorkload, SystemParams, TxType, WorkloadSpec};
 
@@ -245,29 +245,6 @@ fn adding_users_saturates_but_never_reduces_total_below_fewer_users_significantl
     let (x2, x4, x8) = (mk(2), mk(4), mk(8));
     assert!(x4 > x2);
     assert!(x8 >= x4 * 0.99);
-}
-
-#[test]
-fn approximate_mva_option_stays_close_to_exact() {
-    let exact = solve(StandardWorkload::Mb8, 8);
-    let approx = Model::with_options(
-        ModelConfig::new(StandardWorkload::Mb8.spec(2), 8),
-        ModelOptions {
-            mva: MvaAlgo::Schweitzer,
-            ..ModelOptions::default()
-        },
-    )
-    .solve();
-    for (e, a) in exact.nodes.iter().zip(&approx.nodes) {
-        let rel = (e.tx_per_s - a.tx_per_s).abs() / e.tx_per_s;
-        assert!(
-            rel < 0.15,
-            "node {}: exact {} vs approx {}",
-            e.name,
-            e.tx_per_s,
-            a.tx_per_s
-        );
-    }
 }
 
 #[test]
