@@ -70,4 +70,10 @@ cmp "${TMPDIR:-/tmp}/report_off.txt" "${TMPDIR:-/tmp}/report_metrics_on.txt"
 cargo run --release -p carat-cli -- sim --workload mb4 --sites 8 --n 8 --alpha 5 --probes --measure-s 60 --shards 1 --metrics 10 --metrics-out "${TMPDIR:-/tmp}/metrics_s1.jsonl" > /dev/null 2>&1
 cargo run --release -p carat-cli -- sim --workload mb4 --sites 8 --n 8 --alpha 5 --probes --measure-s 60 --shards 4 --metrics 10 --metrics-out "${TMPDIR:-/tmp}/metrics_s4.jsonl" > /dev/null 2>&1
 cmp "${TMPDIR:-/tmp}/metrics_s1.jsonl" "${TMPDIR:-/tmp}/metrics_s4.jsonl"
+echo "== site-separable metrics shard gate"
+# Site-separable runs go through the same site-LP driver (lookahead +inf):
+# their sampled series must also be byte-identical for every shard count.
+cargo run --release -p carat-cli -- sim --workload lb8 --sites 8 --n 8 --measure-s 60 --shards 1 --metrics 10 --metrics-out "${TMPDIR:-/tmp}/lb8_metrics_s1.jsonl" > /dev/null 2>&1
+cargo run --release -p carat-cli -- sim --workload lb8 --sites 8 --n 8 --measure-s 60 --shards 4 --metrics 10 --metrics-out "${TMPDIR:-/tmp}/lb8_metrics_s4.jsonl" > /dev/null 2>&1
+cmp "${TMPDIR:-/tmp}/lb8_metrics_s1.jsonl" "${TMPDIR:-/tmp}/lb8_metrics_s4.jsonl"
 echo "== CI green"

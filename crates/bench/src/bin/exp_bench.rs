@@ -14,9 +14,10 @@
 //!   pre-fast-path baseline (written to `BENCH_sim.json`) plus a
 //!   parallel-vs-sequential replication determinism check and two
 //!   shard-scaling matrices (byte-identity asserted, events/sec and
-//!   speedup recorded): a decomposed one (8-site LB8, site-separable)
-//!   and a cross-site coupled one (8-site MB4 with α > 0 and probes,
-//!   null-message ratio recorded from the shard telemetry);
+//!   speedup recorded): a site-separable one (8-site LB8, run by the
+//!   site-LP engine with unbounded lookahead) and a cross-site one
+//!   (8-site MB4 with α > 0 and probes, lookahead α, null-message ratio
+//!   recorded from the shard telemetry);
 //! * **emit** (`--emit [--out PATH]`): solves the same model grid
 //!   honouring the engine flags (`--threads N`, `--sequential`,
 //!   `--no-warm`) and the solver flag `--accel off|anderson`, and writes
@@ -157,8 +158,8 @@ fn bench_shards() -> String {
     println!("  reports byte-identical across shard counts: OK");
     format!(
         "{{\n    \"workload\": \"LB8/n8\",\n    \"sites\": {SHARD_SITES},\n    \
-         \"engine\": \"decomposed\",\n    \"cores\": {cores},\n    \"events\": {},\n    \
-         \"matrix\": [\n{}\n    ]\n  }}",
+         \"engine\": \"site-lp\",\n    \"lookahead\": \"unbounded\",\n    \
+         \"cores\": {cores},\n    \"events\": {},\n    \"matrix\": [\n{}\n    ]\n  }}",
         reference.events,
         rows.join(",\n"),
     )
@@ -168,8 +169,9 @@ fn bench_shards() -> String {
 /// (per node 1 LRO + 1 LU + 1 DRO + 1 DU) on an 8-site cluster with a
 /// positive network delay and probe-based global deadlock detection.
 /// Coupled-engine eligible: the shards synchronize through the
-/// conservative horizon protocol (lookahead α) instead of running
-/// independent per-site simulations.
+/// conservative horizon protocol with lookahead α, where the
+/// site-separable scenario above runs the same driver with unbounded
+/// lookahead.
 const XSITE_SITES: usize = 8;
 const XSITE_ALPHA_MS: f64 = 5.0;
 
@@ -262,7 +264,7 @@ fn bench_shards_xsite() -> String {
     println!("  reports byte-identical across shard counts: OK");
     format!(
         "{{\n    \"workload\": \"MB4/n8\",\n    \"sites\": {XSITE_SITES},\n    \
-         \"engine\": \"coupled\",\n    \"alpha_ms\": {},\n    \"cores\": {cores},\n    \
+         \"engine\": \"site-lp\",\n    \"alpha_ms\": {},\n    \"cores\": {cores},\n    \
          \"events\": {},\n    \"net_messages\": {},\n    \"matrix\": [\n{}\n    ]\n  }}",
         json_f64(XSITE_ALPHA_MS),
         reference.events,

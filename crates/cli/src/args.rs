@@ -176,10 +176,11 @@ FLAGS:
     --sites <k>                    number of sites (default 2); larger clusters
                                    replicate the per-node user population and
                                    alternate the Table 2 disk speeds
-    --shards <k>                   simulator worker threads: site-separable
-                                   runs decompose, cross-site runs with
-                                   --alpha > 0 (and --probes under 2PL) run
-                                   the coupled conservative engine (default
+    --shards <k>                   simulator worker threads for the site-LP
+                                   engine, which runs site-separable runs
+                                   (lookahead +inf) and cross-site runs with
+                                   --alpha > 0 (and --probes under 2PL) as
+                                   one logical process per site (default
                                    $CARAT_SHARDS, else 1; reports are
                                    byte-identical for every k)
     --seed <u64>                   simulator RNG seed (default 7)

@@ -439,75 +439,20 @@ impl Tracer {
         self.buf.is_empty()
     }
 
-    /// Merges per-site trace rings into one canonical timeline.
+    /// Merges per-LP trace rings into one canonical timeline.
     ///
-    /// The sharded engine records each site's events into its own tracer
-    /// (so trace content is independent of the shard count); this folds
-    /// the parts back together: every kept event is re-tagged with its
-    /// global site index and the union is ordered by `(t_ms, site)` —
-    /// intra-site order is preserved (each part's ring is already in
-    /// nondecreasing time order), and simultaneous events across sites
-    /// deliver in site order, a pure function of the configuration.
-    ///
-    /// The merged ring's capacity is the sum of the parts' capacities, so
-    /// the merge itself never drops events; `recorded`/`dropped` sum over
-    /// the parts.
+    /// The site-LP engine runs one logical process per site against the
+    /// *full* topology, so its trace events already carry their global
+    /// node indices (cross-site hops appear inside a single LP's ring).
+    /// The parts are concatenated in the order given (site-major, a pure
+    /// function of the configuration) and stably sorted by time, so
+    /// simultaneous events deliver in part order for every shard count.
+    /// Capacity sums so the merge never drops events; `recorded`/`dropped`
+    /// sum over the parts.
     ///
     /// # Panics
     ///
     /// Panics if `parts` is empty.
-    pub fn merge_sites(parts: Vec<(u32, Tracer)>) -> Tracer {
-        let filter = parts
-            .first()
-            .expect("merge_sites needs at least one part")
-            .1
-            .filter
-            .clone();
-        let mut capacity = 0usize;
-        let mut recorded = 0u64;
-        let mut dropped = 0u64;
-        let mut buf: Vec<TraceEvent> = Vec::with_capacity(parts.iter().map(|(_, t)| t.len()).sum());
-        for (site, part) in &parts {
-            capacity += part.capacity;
-            recorded += part.recorded;
-            dropped += part.dropped;
-            for ev in part.events() {
-                let mut ev = *ev;
-                ev.node = *site;
-                buf.push(ev);
-            }
-        }
-        // Stable sort on time alone: ties keep insertion order, which is
-        // site order because the parts were concatenated site-major.
-        buf.sort_by(|a, b| a.t_ms.partial_cmp(&b.t_ms).expect("finite trace times"));
-        Tracer {
-            filter,
-            buf,
-            capacity,
-            head: 0,
-            dropped,
-            recorded,
-        }
-    }
-
-    /// Merges per-partition trace rings that already carry their global
-    /// node indices into one canonical timeline.
-    ///
-    /// The coupled (cross-site) sharded engine runs one logical process
-    /// per site against the *full* topology, so its trace events are
-    /// recorded with true site indices and cross-site hops appear inside
-    /// a single partition's ring. Unlike [`merge_sites`] no re-tagging
-    /// happens here: the parts are concatenated in the order given
-    /// (site-major, a pure function of the configuration) and stably
-    /// sorted by time, so simultaneous events deliver in part order for
-    /// every shard count. Capacity sums so the merge never drops events;
-    /// `recorded`/`dropped` sum over the parts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parts` is empty.
-    ///
-    /// [`merge_sites`]: Tracer::merge_sites
     pub fn merge_ordered(parts: Vec<Tracer>) -> Tracer {
         let filter = parts
             .first()
@@ -798,31 +743,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_sites_interleaves_by_time_then_site_and_remaps_nodes() {
-        let cap = |n| TraceConfig {
-            filter: TraceFilter::all(),
-            capacity: n,
-        };
-        let mut site0 = Tracer::new(cap(4));
-        site0.record(ev(1.0, TraceKind::TxSubmit, 0, 10));
-        site0.record(ev(3.0, TraceKind::TxCommit, 0, 10));
-        let mut site2 = Tracer::new(cap(4));
-        site2.record(ev(1.0, TraceKind::TxSubmit, 0, 20));
-        site2.record(ev(2.0, TraceKind::TxAbort, 0, 20));
-        let merged = Tracer::merge_sites(vec![(0, site0), (2, site2)]);
-        let seen: Vec<(f64, u32, u64)> = merged.events().map(|e| (e.t_ms, e.node, e.gid)).collect();
-        // Simultaneous t = 1.0 events deliver in site order; node ids are
-        // the global site indices.
-        assert_eq!(
-            seen,
-            vec![(1.0, 0, 10), (1.0, 2, 20), (2.0, 2, 20), (3.0, 0, 10)]
-        );
-        assert_eq!(merged.recorded(), 4);
-        assert_eq!(merged.dropped(), 0);
-    }
-
-    #[test]
-    fn merge_sites_sums_capacity_and_drop_counters() {
+    fn merge_ordered_sums_capacity_and_drop_counters() {
         let cap = |n| TraceConfig {
             filter: TraceFilter::all(),
             capacity: n,
@@ -832,7 +753,7 @@ mod tests {
             a.record(ev(i as f64, TraceKind::NetSend, 0, i)); // 3 dropped
         }
         let b = Tracer::new(cap(2));
-        let merged = Tracer::merge_sites(vec![(0, a), (1, b)]);
+        let merged = Tracer::merge_ordered(vec![a, b]);
         assert_eq!(merged.len(), 2, "kept tails survive the merge");
         assert_eq!(merged.recorded(), 5);
         assert_eq!(merged.dropped(), 3);

@@ -22,10 +22,10 @@ use rand::{Rng, SeedableRng};
 use crate::config::{
     CcProtocol, DeadlockMode, DegradationPolicy, SimConfig, SimConfigError, VictimPolicy,
 };
-use crate::metrics::{AvailabilityReport, NodeReport, SimReport, TypeReport};
 use crate::program::{
     compile_into, distinct_blocks_at_with, CompileScratch, Op, Plan, Program, Seg,
 };
+use crate::report::{AvailabilityReport, NodeReport, SimReport, TypeReport};
 use crate::slab::{TxId, TxSlab};
 
 /// Events of the simulation.
@@ -290,6 +290,12 @@ struct NodeState {
     acc_lock_requests: u64,
     acc_lock_conflicts: u64,
     acc_cc_rejections: u64,
+    /// Commit audit: last committed writer of each record at this site.
+    /// At the end of the run the storage engine must hold exactly these
+    /// writers' values — an end-to-end check that 2PL + WAL + 2PC
+    /// preserved integrity. Kept with the node so an LP merge moves it
+    /// along with the database it audits.
+    last_committed: BTreeMap<carat_storage::RecordId, u64>,
 }
 
 /// A live transaction (one submission). `pub(crate)` only so [`XMsg`] can
@@ -552,10 +558,6 @@ pub struct Sim {
     /// the slab when its coordinator dies, but its lock-manager and TSO
     /// state at other sites is keyed by the token.
     orphans: BTreeMap<(usize, u64), (u64, bool)>,
-    /// Commit audit: last committed writer of each record. At the end of
-    /// the run the storage engines must hold exactly these writers' values
-    /// — an end-to-end check that 2PL + WAL + 2PC preserved integrity.
-    last_committed: BTreeMap<(usize, carat_storage::RecordId), u64>,
     /// Component label of each site under the current split. All labels
     /// equal (the resting state) means the cluster is connected; messages
     /// only flow between sites with equal labels.
@@ -629,7 +631,7 @@ pub struct Sim {
     metrics: Option<Box<MetricsRecorder>>,
     /// Cross-LP messages handled / emitted by this logical process
     /// (deterministic inputs to the `shard` metric category; always 0 in
-    /// the monolithic and decomposed engines).
+    /// the monolithic engine and in site-separable LPs).
     xmsg_in: u64,
     xmsg_out: u64,
     /// Events handled per [`Ev`] kind (profiling counters).
@@ -642,6 +644,11 @@ pub struct Sim {
     /// topology is still constructed (node indices keep their global
     /// meaning) but peer sites' nodes stay inert.
     owned: Option<usize>,
+    /// This LP can exchange messages with its peers: the configuration is
+    /// not site-separable. Site-separable LPs never see a gid-addressed
+    /// message (their probes are slab-addressed), so they keep no
+    /// `gid_index` and record no `xmsg_*` series.
+    xsite: bool,
     /// Gid allocation stride. The monolithic engine strides by 1; an LP
     /// strides by the site count from a base of `site + 1`, so gids stay
     /// globally unique and monotone per allocator without coordination.
@@ -680,8 +687,6 @@ impl Sim {
         cfg.validate()?;
         let nodes = (0..cfg.params.sites())
             .map(|_| {
-                let mut db = Database::new(cfg.params.n_granules);
-                db.load_default();
                 NodeState {
                     cpu: Fcfs::new(0.0),
                     disk: Fcfs::new(0.0),
@@ -696,7 +701,10 @@ impl Sim {
                     } else {
                         TimestampManager::new()
                     },
-                    db,
+                    // Empty until `load_databases`: a run on the site-LP
+                    // driver keeps only this `Sim`'s configuration, and
+                    // each LP loads its own site alone (peers are inert).
+                    db: Database::new(0),
                     io_ops: 0,
                     base_lock_requests: 0,
                     base_lock_conflicts: 0,
@@ -706,6 +714,7 @@ impl Sim {
                     acc_lock_requests: 0,
                     acc_lock_conflicts: 0,
                     acc_cc_rejections: 0,
+                    last_committed: BTreeMap::new(),
                 }
             })
             .collect();
@@ -728,7 +737,7 @@ impl Sim {
             .metrics
             .as_ref()
             .map(|mc| Box::new(MetricsRecorder::new(mc)));
-        Ok(Sim {
+        let mut sim = Sim {
             tracer,
             metrics,
             xmsg_in: 0,
@@ -756,7 +765,6 @@ impl Sim {
             ready: VecDeque::new(),
             stats: Stats::default(),
             orphans: BTreeMap::new(),
-            last_committed: BTreeMap::new(),
             spare_txns: Vec::new(),
             compile_scratch: CompileScratch::default(),
             woken_scratch: Vec::new(),
@@ -771,6 +779,7 @@ impl Sim {
             probe_targets: Vec::new(),
             val_buf: String::new(),
             owned: None,
+            xsite: false,
             gid_stride: 1,
             inbox: BinaryHeap::new(),
             inbox_seqs: vec![0; sites],
@@ -781,7 +790,11 @@ impl Sim {
             absorbed_sched_hwm: 0,
             absorbed_slab_hwm: 0,
             absorbed_slab_slots: 0,
-        })
+        };
+        if !crate::shard::runs_on_lps(&sim.cfg) {
+            sim.load_databases();
+        }
+        Ok(sim)
     }
 
     /// Builds one site-level logical process of the coupled engine: the
@@ -795,11 +808,25 @@ impl Sim {
         let sites = cfg.params.sites();
         let mut lp_cfg = cfg;
         lp_cfg.seed = crate::shard::site_seed(lp_cfg.seed, site);
+        let xsite = !crate::shard::decomposable(&lp_cfg);
         let mut sim = Sim::new(lp_cfg)?;
         sim.owned = Some(site);
+        sim.xsite = xsite;
         sim.next_gid = site as u64 + 1;
         sim.gid_stride = sites as u64;
+        sim.load_databases();
         Ok(sim)
+    }
+
+    /// Builds and loads the database of every site this `Sim` executes
+    /// ([`Self::live_sites`]); the others stay empty.
+    fn load_databases(&mut self) {
+        let n_granules = self.cfg.params.n_granules;
+        for site in self.live_sites() {
+            let db = &mut self.nodes[site].db;
+            *db = Database::new(n_granules);
+            db.load_default();
+        }
     }
 
     /// Runs the simulation to completion and returns the report.
@@ -841,26 +868,20 @@ impl Sim {
     pub fn run_checked_instrumented(
         mut self,
     ) -> Result<(SimReport, Option<Tracer>, Option<MetricsRecorder>), SimError> {
-        // Site-separable configurations decompose into independent
-        // per-site sub-simulations run on `cfg.shards` worker threads;
+        // Site-separable configurations (lookahead +∞) and cross-site
+        // configurations with a positive network delay (lookahead α) run
+        // one logical process per site on `cfg.shards` worker threads;
         // the merged report is byte-identical for every shard count (see
-        // the `shard` module docs). Everything else — cross-site
-        // workloads, crashes, faults, partitions — runs the monolithic
-        // loop below.
-        if crate::shard::decomposable(&self.cfg) {
-            return crate::shard::run_decomposed(self.cfg);
+        // the `shard` module docs). Eligibility is a pure function of the
+        // configuration excluding `shards`. Only the configuration of this
+        // `Sim` is needed: the rest is dropped before the LPs are built.
+        if crate::shard::runs_on_lps(&self.cfg) {
+            return crate::shard::run_coupled(self.into_cfg());
         }
-        // Cross-site configurations with a positive network delay couple
-        // the site-level logical processes through the conservative
-        // horizon machinery instead (lookahead = α). Eligibility is again
-        // a pure function of the configuration excluding `shards`, so the
-        // chosen engine — and every report byte — cannot depend on the
-        // shard count.
-        if crate::shard::coupled_eligible(&self.cfg) {
-            return crate::shard::run_coupled(self.cfg);
-        }
+        // Everything else — crashes, faults, partitions, α = 0 — runs the
+        // monolithic loop below.
         if self.cfg.shards > 1 {
-            // `--shards` was requested but no parallel decomposition
+            // `--shards` was requested but no site-LP execution
             // applies: run monolithically and record the fallback in the
             // process-global telemetry (never in the report, which must
             // stay byte-identical to a `--shards 1` run).
@@ -944,6 +965,20 @@ impl Sim {
         ))
     }
 
+    /// The sites whose node state this `Sim` executes: every site in the
+    /// monolithic engine, the owned one in an LP (peers are inert there).
+    fn live_sites(&self) -> std::ops::Range<usize> {
+        match self.owned {
+            Some(s) => s..s + 1,
+            None => 0..self.nodes.len(),
+        }
+    }
+
+    /// Consumes the simulator, keeping only its configuration.
+    fn into_cfg(self) -> SimConfig {
+        self.cfg
+    }
+
     /// Emits every pending sample boundary strictly below `t` (and never
     /// beyond `end`). Callers gate on `self.metrics` being present and
     /// due, so the disabled hot path stays one branch per event.
@@ -1014,11 +1049,7 @@ impl Sim {
                 }
             }
         }
-        let range = match self.owned {
-            Some(s) => s..s + 1,
-            None => 0..sites,
-        };
-        for i in range {
+        for i in self.live_sites() {
             let site = i as u32;
             let node = &self.nodes[i];
             m.record(b, site, MetricKind::CpuQ, node.cpu.population() as f64);
@@ -1075,7 +1106,7 @@ impl Sim {
                 MetricKind::JournalBytes,
                 node.db.journal().len_bytes() as f64,
             );
-            if self.owned.is_some() {
+            if self.xsite {
                 m.record(b, site, MetricKind::XmsgIn, self.xmsg_in as f64);
                 m.record(b, site, MetricKind::XmsgOut, self.xmsg_out as f64);
             }
@@ -1324,7 +1355,7 @@ impl Sim {
             while i < list.len() && list[i].0 == gid {
                 let rid = list[i].1;
                 i += 1;
-                if self.last_committed.get(&(site, rid)) != Some(&gid) {
+                if self.nodes[site].last_committed.get(&rid) != Some(&gid) {
                     // Superseded: a newer writer committed this record
                     // after the miss was queued — replaying the stale
                     // image would roll the replica backwards.
@@ -2322,8 +2353,6 @@ impl Sim {
         self.tx_started += other.tx_started;
         self.tx_submit_refusals += other.tx_submit_refusals;
         self.tx_killed += other.tx_killed;
-        self.last_committed
-            .extend(std::mem::take(&mut other.last_committed));
         self.stats.merge(std::mem::take(&mut other.stats));
     }
 
@@ -2333,16 +2362,20 @@ impl Sim {
         self.tracer.take().map(|b| *b)
     }
 
-    /// Flushes the remaining sample boundaries up to `end`. The coupled
-    /// driver calls this when an LP retires *without* a budget trip: the
-    /// retirement condition (`min(next, horizon) > end`) guarantees no
-    /// further event at or below `end` will ever run here, so the
-    /// remaining boundaries are final. Tripped LPs keep only the samples
-    /// below their trip instant.
-    pub(crate) fn lp_finish_metrics(&mut self, end: Time) {
+    /// Retires this LP *without* a budget trip: the retirement condition
+    /// (`min(next, horizon) > end`) guarantees no further event at or
+    /// below `end` will ever run here, so the remaining sample boundaries
+    /// up to `end` are final and get flushed (tripped LPs keep only the
+    /// samples below their trip instant). The owned site's journal is
+    /// released too: nothing reads it after the last event (the report's
+    /// commit audit reads the page store), and freeing it lets the next
+    /// LP on this thread reuse the memory.
+    pub(crate) fn lp_retire(&mut self, end: Time) {
         if self.metrics.is_some() {
             self.metrics_flush_through(end);
         }
+        let owned = self.owned.expect("only LPs retire");
+        self.nodes[owned].db.discard_journal();
     }
 
     /// Takes the metrics recorder out (the driver collects per-LP
@@ -2436,7 +2469,7 @@ impl Sim {
         tx.away = false;
         tx.cur_site = home;
         let id = self.txs.insert(tx);
-        if self.owned.is_some() {
+        if self.xsite {
             self.gid_index.insert(gid, id);
         }
         self.ready.push_back(id);
@@ -2910,11 +2943,11 @@ impl Sim {
                     tx.decided = true;
                     if tx.begun_sites.contains(&site) {
                         // Record the committed writes at this site, then
-                        // commit in storage. `last_committed` and `db` are
-                        // disjoint fields, so the borrow of `tx` stays live.
+                        // commit in storage. `txs` and `nodes` are disjoint
+                        // fields, so the borrow of `tx` stays live.
                         for &(s, rid) in &tx.updated {
                             if s == site {
-                                self.last_committed.insert((s, rid), gid);
+                                self.nodes[s].last_committed.insert(rid, gid);
                                 if self.replicated {
                                     // Commit applies its value: a commit
                                     // round delayed across a split can
@@ -3251,9 +3284,11 @@ impl Sim {
             let alpha = self.cfg.params.comm_delay_ms;
             let mut targets = std::mem::take(&mut self.probe_targets);
             self.nodes[site].locks.waits_for_into(token, &mut targets);
-            if self.owned.is_some() {
+            if self.xsite {
                 // Coupled engine: probes address transactions by gid and
-                // chase ghosts across LPs through their home site.
+                // chase ghosts across LPs through their home site. In a
+                // site-separable LP every holder is resident, so probes
+                // stay slab-addressed like the monolithic engine's.
                 let initiator_gid = self.txs.get(id).expect("live tx").gid;
                 for &h in &targets {
                     self.probe_hop_to_holder(initiator_gid, TxId::from_token(h), 32, alpha);
@@ -3275,10 +3310,13 @@ impl Sim {
         }
 
         // Union of every site's wait-for graph, rebuilt into the reusable
-        // graph (edge vectors are recycled across conflicts).
+        // graph (edge vectors are recycled across conflicts). An LP only
+        // gets here when site-separable (coupling 2PL updates requires
+        // probes), so its own site is the whole graph: peers are inert.
+        let live = self.live_sites();
         let mut g = std::mem::take(&mut self.wfg);
         g.clear();
-        for node in &self.nodes {
+        for node in &self.nodes[live.clone()] {
             g.extend_from(&node.locks);
         }
         let Some(mut cycle) = g.find_cycle(token) else {
@@ -3292,13 +3330,14 @@ impl Sim {
                 .position(|n| n.locks.waiting_block(t).is_some())
                 .expect("cycle member is blocked somewhere")
         };
-        let first_site = wait_site(&self.nodes, cycle[0]);
+        let nodes = &self.nodes[live.clone()];
+        let first_site = wait_site(nodes, cycle[0]);
         let mut local = true;
         // One probe hop per cross-site edge in the chased cycle.
         let mut hops = 0u64;
         for i in 0..cycle.len() {
-            let s_i = wait_site(&self.nodes, cycle[i]);
-            let s_next = wait_site(&self.nodes, cycle[(i + 1) % cycle.len()]);
+            let s_i = wait_site(nodes, cycle[i]);
+            let s_next = wait_site(nodes, cycle[(i + 1) % cycle.len()]);
             if s_i != first_site {
                 local = false;
             }
@@ -3344,7 +3383,7 @@ impl Sim {
                     // keep waiting; the victim's releases will wake it.
                     self.abort_parked(TxId::from_token(victim));
                     g.clear();
-                    for node in &self.nodes {
+                    for node in &self.nodes[live.clone()] {
                         g.extend_from(&node.locks);
                     }
                     match g.find_cycle(token) {
@@ -3716,7 +3755,7 @@ impl Sim {
             // there and queue the journal catch-up (replayed at heal,
             // restart, or end of run — the audit self-checks convergence).
             for &(site, rid) in &tx.missed {
-                self.last_committed.insert((site, rid), tx.gid);
+                self.nodes[site].last_committed.insert(rid, tx.gid);
                 self.pending_catchup
                     .entry(site)
                     .or_default()
@@ -3724,7 +3763,9 @@ impl Sim {
             }
         }
         if let Some(owned) = self.owned {
-            self.gid_index.remove(&tx.gid);
+            if self.xsite {
+                self.gid_index.remove(&tx.gid);
+            }
             // DM servers at other sites live in other logical processes:
             // the release travels as a real message (one network delay,
             // like the EOT cleanup it models). Local ones free directly.
@@ -3848,20 +3889,20 @@ impl Sim {
         // recovery never leaked an aborted write into committed state).
         let mut audit_violations = 0u64;
         let mut audited = 0u64;
-        for (&(site, rid), &gid) in &self.last_committed {
-            if self.nodes[site].locks.is_contended(rid.block)
-                || self.nodes[site].tso.block_pending(rid.block)
-            {
-                // An in-flight transaction holds the block (2PL lock or
-                // TSO pending write) and may have legitimately overwritten
-                // it; skip until it resolves.
-                continue;
-            }
-            audited += 1;
-            let expect = format!("g{gid}b{}s{}", rid.block, rid.slot);
-            let got = self.nodes[site].db.read_committed(rid);
-            if !got.starts_with(expect.as_bytes()) {
-                audit_violations += 1;
+        for node in &self.nodes {
+            for (&rid, &gid) in &node.last_committed {
+                if node.locks.is_contended(rid.block) || node.tso.block_pending(rid.block) {
+                    // An in-flight transaction holds the block (2PL lock or
+                    // TSO pending write) and may have legitimately
+                    // overwritten it; skip until it resolves.
+                    continue;
+                }
+                audited += 1;
+                let expect = format!("g{gid}b{}s{}", rid.block, rid.slot);
+                let got = node.db.read_committed(rid);
+                if !got.starts_with(expect.as_bytes()) {
+                    audit_violations += 1;
+                }
             }
         }
 
@@ -3929,9 +3970,9 @@ impl Sim {
                 counters.add(Ev::LABELS[i], c);
             }
         }
-        // High-water marks are per-LP maxima after a coupled merge (the
-        // `absorbed_*` fields are zero in the monolithic engine), the same
-        // max rule as the decomposed path.
+        // High-water marks are per-LP maxima after an LP merge (the
+        // `absorbed_*` fields are zero in the monolithic engine): a global
+        // heap or slab never existed.
         counters.record_max(
             "sched_heap_hwm",
             self.sched.high_water().max(self.absorbed_sched_hwm) as u64,

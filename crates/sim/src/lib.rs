@@ -65,11 +65,13 @@
 //! ## Site-sharded execution
 //!
 //! [`SimConfig::shards`] runs site-separable configurations (all-local
-//! workloads with no crashes, faults, partitions, or replication) as
-//! independent per-site sub-simulations on worker threads, merged back in
-//! site order — see the [`shard`] module. The shard count is purely a
-//! parallelism knob: the report, counters, and trace are byte-identical
-//! for every value, and coupled configurations ignore it.
+//! workloads with no crashes, faults, partitions, or replication) and
+//! cross-site configurations with a positive network delay as one
+//! logical process per site on worker threads, synchronized
+//! conservatively and merged back in site order — see the [`shard`]
+//! module. The shard count is purely a parallelism knob: the report,
+//! counters, trace, and metrics are byte-identical for every value, and
+//! other configurations ignore it.
 //!
 //! ## Fidelity notes (vs. the real testbed)
 //!
@@ -88,8 +90,8 @@
 
 pub mod config;
 pub mod engine;
-pub mod metrics;
 pub mod program;
+pub mod report;
 pub mod shard;
 pub mod slab;
 
@@ -102,5 +104,5 @@ pub use config::{
     SimConfigError, SplitSpec, VictimPolicy,
 };
 pub use engine::{Sim, SimError};
-pub use metrics::{AvailabilityReport, NodeReport, SimReport, TypeReport};
+pub use report::{AvailabilityReport, NodeReport, SimReport, TypeReport};
 pub use slab::{TxId, TxSlab};

@@ -1,33 +1,27 @@
-//! The site-sharded engine: parallel execution of one run as per-site
-//! sub-simulations on `SimConfig::shards` worker threads — fully
-//! independent when the configuration is *site-separable*, conservatively
-//! coupled through the `carat_des::shard` horizon machinery when
-//! cross-site traffic flows with a positive network delay.
+//! The site-LP engine: one run as one logical process (LP) per site,
+//! synchronized conservatively through the `carat_des::shard` horizon
+//! machinery and executed on `SimConfig::shards` worker threads.
 //!
-//! ## Why decomposition is exact here
+//! ## The conservative site-LP driver
 //!
-//! A configuration is *site-separable* when no event at one site can ever
-//! influence another site: every user is local-only (local programs
-//! compile to zero `Net` ops and never register remote slaves), there are
-//! no crashes, no fault plan, no partitions, and no replication. The
-//! conservative-synchronization machinery of `carat_des::shard` then
-//! degenerates to its best case — the channels stay empty and every
-//! shard's safe horizon is `+∞` — so each site runs as an ordinary
-//! single-threaded, byte-deterministic simulation and the merge is pure
-//! bookkeeping.
-//!
-//! ## The coupled conservative engine
-//!
-//! Cross-site workloads (any DRO/DU user) with a positive network delay
-//! α > 0 run one `Sim` *logical process* (LP) per site against the full
-//! topology: peer node states stay inert, and every cross-site
+//! Each LP is a `Sim` against the full topology that executes only its
+//! own site's events: peer node states stay inert, and every cross-site
 //! interaction — a transaction's `Op::Net` hop, a Chandy–Misra–Haas
 //! probe, a remote DM release — travels as a timestamped `XMsg` through a
 //! [`ShardChannel`]. Every cross-site effect takes exactly one network
 //! delay, so α is a hard lookahead: an LP whose published clock reads `c`
 //! cannot emit anything timestamped below `c + α`, and each LP may safely
 //! process events strictly below its [`HorizonClock::safe_horizon`]
-//! (min peer clock + α).
+//! (min peer clock + lookahead).
+//!
+//! A configuration is *site-separable* ([`decomposable`]) when no event at
+//! one site can ever influence another: every user is local-only, and
+//! there are no crashes, faults, partitions, or replication. No message
+//! can then cross sites, so the lookahead is `+∞`: every LP's horizon is
+//! unbounded, it runs to the end of the window in one step, and no null
+//! message is ever sent. Site-separable and cross-site runs share one
+//! driver, one merge (`absorb` + [`Tracer::merge_ordered`] /
+//! [`MetricsRecorder::merge_ordered`]) and one budget-trip rule.
 //!
 //! The published clock is the Chandy–Misra–Bryant promise
 //! `min(next unprocessed event, own safe horizon)`; re-publishing after
@@ -40,39 +34,32 @@
 //! budget trips (its already-emitted messages are still delivered, so the
 //! trip point is schedule-independent).
 //!
-//! Determinism never depends on the thread schedule: an LP's merged
-//! stream (local calendar ∪ inbox, inbox first on timestamp ties, inbox
-//! ordered by `(time, sender, per-sender seq)`) is a pure function of the
-//! configuration, because a message not yet visible when an LP computes
-//! horizon `H` is guaranteed to carry a timestamp ≥ H. The shard count
-//! only chooses how many worker threads sweep the (fixed) per-site LPs —
-//! including `--shards 1`, which runs the identical coupled algorithm on
-//! one thread. Crashes, faults, partitions, and replication still force
-//! the monolithic loop: their cross-site effects (instant failover,
-//! zero-delay timeout scans) have no positive lookahead.
+//! Crashes, faults, partitions, and replication force the monolithic
+//! loop: their cross-site effects (instant failover, zero-delay timeout
+//! scans) have no positive lookahead. So do cross-site runs with α = 0,
+//! and 2PL runs with update users and instant global deadlock detection
+//! (see [`coupled_eligible`]).
 //!
 //! ## The determinism contract
 //!
-//! Which engine runs — decomposed, coupled, or monolithic — is a function
-//! of the configuration *excluding* `shards`; the shard count only
-//! chooses how many worker threads execute the (fixed) per-site
-//! sub-simulations. Every per-site sub-simulation is seeded by a pure
-//! function of `(seed, site)`, and the merge folds results in site
-//! order. The report — including trace output and counters — is
-//! therefore byte-identical for every `shards` value, which the CI
-//! shard-determinism gates enforce the same way earlier PRs enforced
-//! sweep- and replication-determinism.
+//! Which engine runs — the site-LP driver or the monolithic loop — and the
+//! LP lookahead are functions of the configuration *excluding* `shards`.
+//! An LP's merged stream (local calendar ∪ inbox, inbox first on
+//! timestamp ties, inbox ordered by `(time, sender, per-sender seq)`) is a
+//! pure function of the configuration, because a message not yet visible
+//! when an LP computes horizon `H` is guaranteed to carry a timestamp
+//! ≥ H; every LP is seeded by a pure function of `(seed, site)`, and the
+//! merge folds LPs in site order. The shard count only chooses how many
+//! worker threads sweep the (fixed) LPs — including `--shards 1`, which
+//! runs the identical algorithm on one thread — so the report, trace and
+//! metrics are byte-identical for every `shards` value, which the CI
+//! shard-determinism gates enforce.
 //!
-//! Documented merge semantics (DESIGN.md has the full table):
-//!
-//! * `sched_heap_hwm` / `slab_hwm` / `slab_slots_hwm` are per-site
-//!   high-water marks merged by *max* (a global heap never existed);
-//! * `phase_us_*` totals round to whole microseconds per site and then
-//!   sum, so they can differ from a hypothetical global rounding by at
-//!   most one microsecond per site;
-//! * `mean_lock_wait_ms` pools per-site means weighted by completed
-//!   waits; all plain counters sum; `oldest_inflight_ms` and `window_ms`
-//!   take the maximum.
+//! Merge semantics (DESIGN.md §14.2): `absorb` swaps each LP's real node
+//! state into LP 0 and pools its statistics, and a single wind-down
+//! assembles the report. High-water marks (`sched_heap_hwm`, `slab_hwm`,
+//! `slab_slots_hwm`) are per-LP maxima; everything else is computed once
+//! from the pooled state.
 
 use std::sync::Mutex;
 use std::time::Instant;
@@ -83,12 +70,12 @@ use carat_obs::{shardstats, MetricsRecorder, Tracer};
 
 use crate::config::{CcProtocol, DeadlockMode, SimConfig};
 use crate::engine::{Sim, SimError, XMsg};
-use crate::metrics::{AvailabilityReport, SimReport};
+use crate::report::SimReport;
 
-/// Whether `cfg` is site-separable (see the module docs). A pure function
-/// of the configuration excluding [`SimConfig::shards`], so the
-/// decomposition decision — and with it every report byte — cannot depend
-/// on the shard count.
+/// Whether `cfg` is site-separable (see the module docs): its LPs run with
+/// unbounded lookahead. A pure function of the configuration excluding
+/// [`SimConfig::shards`], so the engine choice — and with it every report
+/// byte — cannot depend on the shard count.
 pub fn decomposable(cfg: &SimConfig) -> bool {
     cfg.params.sites() >= 2
         && cfg.workload.sites() == cfg.params.sites()
@@ -108,13 +95,13 @@ pub fn decomposable(cfg: &SimConfig) -> bool {
 /// docs). Like [`decomposable`] this is a pure function of the
 /// configuration excluding [`SimConfig::shards`], so the engine choice —
 /// and with it every report byte — cannot depend on the shard count.
-/// The two predicates are disjoint: decomposition requires every user to
-/// be local-only, coupling requires at least one distributed user.
+/// The two predicates are disjoint: site separability requires every user
+/// to be local-only, coupling requires at least one distributed user.
 ///
 /// Requirements beyond [`decomposable`]'s failure-free topology:
 ///
 /// * at least one DRO/DU user — otherwise nothing crosses sites and the
-///   run decomposes instead;
+///   run is site-separable instead;
 /// * `comm_delay_ms > 0` — α is the conservative lookahead; α = 0 (the
 ///   validation default) leaves no safe window and stays monolithic;
 /// * under two-phase locking with update users, deadlock detection must
@@ -149,7 +136,15 @@ pub fn coupled_eligible(cfg: &SimConfig) -> bool {
         && deadlock_ok
 }
 
-/// The sub-simulation seed of `site` for a run with base seed `base`.
+/// Whether `cfg` runs on the site-LP driver: site-separable
+/// ([`decomposable`], lookahead `+∞`) or coupled-eligible
+/// ([`coupled_eligible`], lookahead α). Everything else runs the
+/// monolithic loop.
+pub(crate) fn runs_on_lps(cfg: &SimConfig) -> bool {
+    decomposable(cfg) || coupled_eligible(cfg)
+}
+
+/// The workload seed of `site`'s LP for a run with base seed `base`.
 ///
 /// Double-mixed rather than `base ^ splitmix64(site)` so site streams can
 /// never collide with the replication harness's `rep_seed(base, rep) =
@@ -175,149 +170,30 @@ fn budget_shares(budget: u64, sites: usize) -> Vec<u64> {
     (0..n).map(|i| (q + u64::from(i < r)).max(1)).collect()
 }
 
-/// The single-site sub-configuration of `site`, with `share` of the
-/// run's event budget.
-fn site_config(cfg: &SimConfig, site: usize, share: u64) -> SimConfig {
-    let mut params = cfg.params.clone();
-    params.nodes = vec![cfg.params.nodes[site].clone()];
-    let mut workload = cfg.workload.clone();
-    workload.users = vec![cfg.workload.users[site].clone()];
-    SimConfig {
-        params,
-        workload,
-        seed: site_seed(cfg.seed, site),
-        max_events: share,
-        crashes: Vec::new(),
-        shards: 1,
-        ..cfg.clone()
-    }
-}
-
-/// The instrumented result triple of one whole run (or one site's
-/// sub-simulation): report, lifecycle tracer, metrics recorder.
+/// The instrumented result triple of one whole run: report, lifecycle
+/// tracer, metrics recorder.
 pub(crate) type RunOutput = (SimReport, Option<Tracer>, Option<MetricsRecorder>);
-
-/// Outcome of one site's sub-simulation.
-type SiteOutcome = Result<RunOutput, SimError>;
-
-fn run_site(cfg: SimConfig) -> SiteOutcome {
-    Sim::new(cfg)
-        .expect("a site slice of a validated config is valid")
-        .run_checked_instrumented()
-}
-
-/// Runs a decomposable configuration as per-site sub-simulations on
-/// `cfg.shards` worker threads (clamped to the site count) and merges the
-/// results in site order. The caller (`Sim::run_checked_traced`) has
-/// already validated `cfg` and checked [`decomposable`].
-pub(crate) fn run_decomposed(cfg: SimConfig) -> Result<RunOutput, SimError> {
-    let sites = cfg.params.sites();
-    let shards = cfg.shards.min(sites).max(1);
-    let budget = cfg.max_events;
-    let shares = budget_shares(budget, sites);
-    let subcfgs: Vec<SimConfig> = (0..sites)
-        .map(|s| site_config(&cfg, s, shares[s]))
-        .collect();
-
-    let outcomes: Vec<SiteOutcome> = if shards == 1 {
-        subcfgs.into_iter().map(run_site).collect()
-    } else {
-        // Balanced contiguous blocks: shard s runs its sites sequentially
-        // in site order, and joining the shards in index order restores
-        // global site order.
-        let map = SiteShardMap::contiguous(sites, shards);
-        let mut blocks: Vec<Vec<SimConfig>> = Vec::with_capacity(shards);
-        let mut it = subcfgs.into_iter();
-        for s in 0..shards {
-            blocks.push(it.by_ref().take(map.sites_of(s).len()).collect());
-        }
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = blocks
-                .into_iter()
-                .map(|block| scope.spawn(|| block.into_iter().map(run_site).collect::<Vec<_>>()))
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("site shard thread panicked"))
-                .collect()
-        })
-    };
-
-    // Split outcomes into (per-site report, tracer, metrics, trip info).
-    let mut reports = Vec::with_capacity(sites);
-    let mut tracers = Vec::with_capacity(sites);
-    let mut metrics = Vec::with_capacity(sites);
-    let mut first_trip_ms = f64::INFINITY;
-    let mut tripped = false;
-    for (site, outcome) in outcomes.into_iter().enumerate() {
-        match outcome {
-            Ok((report, tracer, site_metrics)) => {
-                reports.push(report);
-                if let Some(t) = tracer {
-                    tracers.push((site as u32, t));
-                }
-                if let Some(m) = site_metrics {
-                    metrics.push((site as u32, m));
-                }
-            }
-            Err(SimError::EventBudgetExhausted {
-                sim_time_ms,
-                partial,
-                partial_metrics,
-                ..
-            }) => {
-                tripped = true;
-                first_trip_ms = first_trip_ms.min(sim_time_ms);
-                reports.push(*partial);
-                if let Some(m) = partial_metrics {
-                    // A tripped site contributes the samples recorded
-                    // before its (schedule-independent) trip instant.
-                    metrics.push((site as u32, *m));
-                }
-            }
-        }
-    }
-
-    let merged = merge_reports(reports);
-    let merged_metrics = if metrics.is_empty() {
-        None
-    } else {
-        Some(MetricsRecorder::merge_sites(metrics))
-    };
-    if tripped {
-        // Sites run to completion (or their own trip) independently, so
-        // the merged partial — and the earliest trip instant — is the
-        // same for every shard count.
-        return Err(SimError::EventBudgetExhausted {
-            budget,
-            sim_time_ms: first_trip_ms,
-            partial: Box::new(merged),
-            partial_metrics: merged_metrics.map(Box::new),
-        });
-    }
-    let tracer = if tracers.is_empty() {
-        None
-    } else {
-        Some(Tracer::merge_sites(tracers))
-    };
-    Ok((merged, tracer, merged_metrics))
-}
 
 /// One site-LP's end state: its site index, the `Sim`, and the virtual
 /// time at which its event budget tripped (`None` when it ran to the
 /// end).
 type LpOutcome = (usize, Sim, Option<Time>);
 
-/// Runs a coupled-eligible configuration as one logical process per site,
-/// synchronized conservatively through [`HorizonClock`] /
-/// [`ShardChannel`] with lookahead α, on `cfg.shards` worker threads
-/// (clamped to the site count). The caller (`Sim::run_checked_traced`)
-/// has already validated `cfg` and checked [`coupled_eligible`].
+/// Runs a site-separable or coupled-eligible configuration as one logical
+/// process per site, synchronized conservatively through [`HorizonClock`]
+/// / [`ShardChannel`] with lookahead α (`+∞` when site-separable), on
+/// `cfg.shards` worker threads (clamped to the site count). The caller
+/// (`Sim::run_checked_instrumented`) has already validated `cfg` and
+/// checked [`decomposable`] or [`coupled_eligible`].
 pub(crate) fn run_coupled(cfg: SimConfig) -> Result<RunOutput, SimError> {
     let sites = cfg.params.sites();
     let shards = cfg.shards.min(sites).max(1);
     let budget = cfg.max_events;
-    let alpha = cfg.params.comm_delay_ms;
+    let alpha = if decomposable(&cfg) {
+        f64::INFINITY
+    } else {
+        cfg.params.comm_delay_ms
+    };
     let end = cfg.warmup_ms + cfg.measure_ms;
     let tracing = cfg.trace.is_some();
     let metrics_on = cfg.metrics.is_some();
@@ -407,16 +283,15 @@ pub(crate) fn run_coupled(cfg: SimConfig) -> Result<RunOutput, SimError> {
     // Fold LPs 1..n into LP 0 in site order, then wind down once so
     // utilization windows and phase-total rounding happen exactly once.
     let mut it = outcomes.into_iter();
-    let (_, mut primary, _) = it.next().expect("coupling requires >= 2 sites");
+    let (_, mut primary, _) = it.next().expect("the LP driver requires >= 2 sites");
     for (_, lp, _) in it {
         primary.absorb(lp);
     }
     let report = primary.wind_down(end);
 
     if first_trip.is_finite() {
-        // Same shape as the decomposed path: the error reports the
-        // *configured* budget and the earliest per-LP trip instant, both
-        // schedule- and shard-count-independent.
+        // The error reports the *configured* budget and the earliest
+        // per-LP trip instant, both schedule- and shard-count-independent.
         return Err(SimError::EventBudgetExhausted {
             budget,
             sim_time_ms: first_trip,
@@ -500,7 +375,7 @@ fn run_lp_block(
             } else if lp.lp_next_time().min(horizon) > end {
                 // Retirement makes every boundary <= end final: unseen
                 // messages carry timestamps >= horizon > end.
-                lp.lp_finish_metrics(end);
+                lp.lp_retire(end);
                 retired[i] = true;
                 f64::INFINITY
             } else {
@@ -562,64 +437,6 @@ fn run_lp_block(
         .zip(trips)
         .map(|((site, lp), trip)| (site, lp, trip))
         .collect()
-}
-
-/// Folds per-site reports (in site order) into the run's report. See the
-/// module docs for the per-field rules.
-fn merge_reports(parts: Vec<SimReport>) -> SimReport {
-    let mut out = SimReport::default();
-    let mut wait_weight = 0u64;
-    let mut wait_sum = 0.0f64;
-    for part in parts {
-        out.nodes.extend(part.nodes);
-        out.local_deadlocks += part.local_deadlocks;
-        out.global_deadlocks += part.global_deadlocks;
-        out.probe_hops += part.probe_hops;
-        out.lock_requests += part.lock_requests;
-        out.lock_conflicts += part.lock_conflicts;
-        out.cc_rejections += part.cc_rejections;
-        wait_weight += part.lock_waits_completed;
-        wait_sum += part.mean_lock_wait_ms * part.lock_waits_completed as f64;
-        out.lock_waits_completed += part.lock_waits_completed;
-        out.crashes += part.crashes;
-        out.crash_kills += part.crash_kills;
-        out.recoveries += part.recoveries;
-        out.net_messages += part.net_messages;
-        out.net_drops += part.net_drops;
-        out.net_duplicates += part.net_duplicates;
-        out.net_retries += part.net_retries;
-        out.timeout_aborts += part.timeout_aborts;
-        out.in_doubt_resolutions += part.in_doubt_resolutions;
-        out.live_at_end += part.live_at_end;
-        out.oldest_inflight_ms = out.oldest_inflight_ms.max(part.oldest_inflight_ms);
-        out.events += part.events;
-        out.audited_records += part.audited_records;
-        out.audit_violations += part.audit_violations;
-        out.window_ms = out.window_ms.max(part.window_ms);
-        merge_availability(&mut out.availability, &part.availability);
-        out.counters.merge(&part.counters);
-    }
-    out.mean_lock_wait_ms = if wait_weight == 0 {
-        0.0
-    } else {
-        wait_sum / wait_weight as f64
-    };
-    out
-}
-
-fn merge_availability(out: &mut AvailabilityReport, part: &AvailabilityReport) {
-    out.partitions += part.partitions;
-    out.heals += part.heals;
-    out.partition_ms += part.partition_ms;
-    out.partition_aborts += part.partition_aborts;
-    out.blocked_on_heal += part.blocked_on_heal;
-    out.stale_reads += part.stale_reads;
-    out.degraded_reads += part.degraded_reads;
-    out.failovers += part.failovers;
-    out.catchup_records += part.catchup_records;
-    out.tx_started += part.tx_started;
-    out.tx_submit_refusals += part.tx_submit_refusals;
-    out.tx_killed += part.tx_killed;
 }
 
 #[cfg(test)]
@@ -721,18 +538,6 @@ mod tests {
     }
 
     #[test]
-    fn site_config_slices_one_site() {
-        let cfg = lb8(4);
-        let s2 = site_config(&cfg, 2, budget_shares(cfg.max_events, 4)[2]);
-        assert_eq!(s2.params.sites(), 1);
-        assert_eq!(s2.workload.sites(), 1);
-        assert_eq!(s2.params.nodes[0].name, cfg.params.nodes[2].name);
-        assert_eq!(s2.seed, site_seed(cfg.seed, 2));
-        assert!(s2.validate().is_ok(), "site slices must validate");
-        assert!(!decomposable(&s2), "no recursive decomposition");
-    }
-
-    #[test]
     fn reports_are_identical_for_every_shard_count() {
         let run = |shards: usize| {
             let mut cfg = lb8(4);
@@ -817,7 +622,7 @@ mod tests {
         assert!(coupled_eligible(&cfg), "shard count must not matter");
         assert!(
             !decomposable(&cfg),
-            "the decomposed and coupled predicates are disjoint"
+            "the site-separable and coupled predicates are disjoint"
         );
 
         // α = 0 (the validation default) leaves no conservative window.
@@ -950,6 +755,22 @@ mod tests {
         assert_eq!(m1, m3);
         assert!(m1.contains("\"site\": 2"), "metrics cover remapped sites");
         assert!(m1.contains("\"metric\": \"cpu_q\""));
+    }
+
+    #[test]
+    fn site_separable_metrics_carry_no_cross_site_series() {
+        // No message can cross sites, so the `xmsg_*` series would be all
+        // zeros: they are recorded only for runs that can carry traffic.
+        let mut cfg = lb8(2);
+        cfg.measure_ms = 2_000.0;
+        cfg.metrics = Some(carat_obs::MetricsConfig::new(100.0));
+        let (_, _, metrics) = Sim::new(cfg)
+            .expect("valid")
+            .run_checked_instrumented()
+            .expect("no budget");
+        let jsonl = metrics.expect("metrics were on").to_jsonl();
+        assert!(jsonl.contains("\"site\": 1"), "every LP sampled its site");
+        assert!(!jsonl.contains("xmsg"), "no cross-site series");
     }
 
     #[test]

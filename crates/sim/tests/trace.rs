@@ -130,3 +130,24 @@ fn bounded_ring_keeps_the_tail() {
         .collect();
     assert_eq!(kept, last_full, "ring keeps exactly the newest 64 events");
 }
+
+#[test]
+fn site_separable_trace_gids_name_one_transaction_each() {
+    // A site-separable run merges one trace per site into one timeline.
+    // A gid must name one transaction across the whole file, so every
+    // submitted gid is submitted at exactly one node.
+    let mut c = SimConfig::new(StandardWorkload::Lb8.spec(4), 8, 7);
+    c.params = carat_workload::SystemParams::with_sites(4);
+    c.warmup_ms = 1_000.0;
+    c.measure_ms = 10_000.0;
+    c.trace = Some(TraceConfig::default());
+    let (_, tracer) = Sim::new(c).expect("valid config").run_traced();
+    let tracer = tracer.expect("tracer returned when configured");
+    let mut home: std::collections::BTreeMap<u64, u32> = std::collections::BTreeMap::new();
+    for ev in tracer.events().filter(|ev| ev.kind == TraceKind::TxSubmit) {
+        let node = *home.entry(ev.gid).or_insert(ev.node);
+        assert_eq!(node, ev.node, "gid {} submitted at two nodes", ev.gid);
+    }
+    let nodes: std::collections::BTreeSet<u32> = home.values().copied().collect();
+    assert_eq!(nodes.len(), 4, "every site submitted work");
+}

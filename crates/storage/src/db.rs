@@ -374,6 +374,14 @@ impl Database {
         undone
     }
 
+    /// Discards the journal and frees its memory. Crash recovery after
+    /// this would find no before-images, so it is only for a database that
+    /// will never recover again — one whose run has ended and only awaits
+    /// its final audit, which reads the page store.
+    pub fn discard_journal(&mut self) {
+        self.journal = Journal::new();
+    }
+
     /// Journal statistics (appends, forces).
     pub fn journal(&self) -> &Journal {
         &self.journal
@@ -403,6 +411,18 @@ mod tests {
         assert_eq!(io.journal_writes, 1);
         let io = db.commit(1).unwrap();
         assert_eq!(io.forced_writes, 1);
+        assert_eq!(&db.read_committed(rid(2, 3))[..2], b"v1");
+    }
+
+    #[test]
+    fn discarding_the_journal_keeps_committed_data() {
+        let mut db = Database::new(10);
+        db.begin(1).unwrap();
+        db.update_record(1, rid(2, 3), b"v1").unwrap();
+        db.commit(1).unwrap();
+        assert!(db.journal().len_bytes() > 0);
+        db.discard_journal();
+        assert_eq!(db.journal().len_bytes(), 0);
         assert_eq!(&db.read_committed(rid(2, 3))[..2], b"v1");
     }
 
