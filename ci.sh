@@ -25,6 +25,10 @@ echo "== solver iteration regression gate"
 # Plain per-point counts within +10% of the pinned reference; the Anderson
 # total at most 70% of the plain total (DESIGN.md §12).
 cargo run --release -p carat-bench --bin exp_bench -- --check-iters
+echo "== metrics overhead gate"
+# The metrics recorder may add at most 75% to the reference sim sweep's
+# wall time (metrics off vs on, best of 5 each, one process).
+cargo run --release -p carat-bench --bin exp_bench -- --check-metrics-overhead
 echo "== sim determinism gate"
 cargo run --release -p carat-bench --bin exp_bench -- --emit-sim --threads 4 --out "${TMPDIR:-/tmp}/sim_par.json"
 cargo run --release -p carat-bench --bin exp_bench -- --emit-sim --sequential --out "${TMPDIR:-/tmp}/sim_seq.json"

@@ -31,7 +31,11 @@
 //! * **check-iters** (`--check-iters`): iteration-count regression gate —
 //!   resolves the grid cold and fails if any reference point needs more
 //!   than 110% of its recorded cold iteration count, or if Anderson
-//!   acceleration saves less than 30% of the total.
+//!   acceleration saves less than 30% of the total;
+//! * **check-metrics-overhead** (`--check-metrics-overhead`): metrics
+//!   on/off ratio gate — times the reference sim sweep with the recorder
+//!   off and on (best of [`REPS`] each, in one process) and fails if the
+//!   recorder adds more than [`METRICS_OVERHEAD_LIMIT_PCT`] percent.
 //!
 //! Wall-clock numbers vary run to run; the JSON *result rows* may not.
 
@@ -277,10 +281,15 @@ fn bench_shards_xsite() -> String {
 /// time.
 const METRICS_SAMPLE_MS: f64 = 10.0;
 
+/// Ceiling of the `--check-metrics-overhead` gate: the recorder may add at
+/// most this many percent to the reference sweep's metrics-off wall time.
+const METRICS_OVERHEAD_LIMIT_PCT: f64 = 75.0;
+
 /// Times the metrics recorder's cost on the reference sim sweep — every
 /// [`SIM_POINTS`] point run with the recorder off and again sampling
 /// every [`METRICS_SAMPLE_MS`] — and returns the `"metrics_overhead"`
-/// JSON section for `BENCH_sim.json`. Also the on-path neutrality gate:
+/// JSON section for `BENCH_sim.json` with the measured overhead in
+/// percent. Also the on-path neutrality gate:
 /// each report must be byte-identical whether or not the recorder ran.
 ///
 /// The wall overhead is dominated by sample *volume*, not by the
@@ -290,7 +299,7 @@ const METRICS_SAMPLE_MS: f64 = 10.0;
 /// is the figure that transfers to other cadences and workloads; the
 /// disabled path is one `Option` branch per event and is covered by the
 /// byte-identity gates against the metrics-free baseline.
-fn bench_metrics_overhead() -> String {
+fn bench_metrics_overhead() -> (String, f64) {
     let mk = |metrics: bool| {
         let (_, mut cfgs) = sim_points(1);
         if metrics {
@@ -320,7 +329,7 @@ fn bench_metrics_overhead() -> String {
                     &report, reference,
                     "the metrics recorder (on={metrics}) changed the report"
                 );
-                rep_samples += recorder.map_or(0, |r| r.samples().len());
+                rep_samples += recorder.map_or(0, |r| r.len());
             }
             best_ms = best_ms.min(t0.elapsed().as_secs_f64() * 1000.0);
             samples = rep_samples;
@@ -333,6 +342,7 @@ fn bench_metrics_overhead() -> String {
     let eps_off = events as f64 / (off_ms / 1000.0);
     let eps_on = events as f64 / (on_ms / 1000.0);
     let ns_per_sample = (on_ms - off_ms) * 1e6 / samples.max(1) as f64;
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
         "\n## Metrics overhead (reference sweep, sample {METRICS_SAMPLE_MS} ms, \
          best of {REPS})\n  off {off_ms:9.2} ms ({eps_off:12.0} events/s)   \
@@ -342,9 +352,9 @@ fn bench_metrics_overhead() -> String {
          reports byte-identical with metrics on vs off: OK",
         samples as f64 / events as f64,
     );
-    format!(
+    let json = format!(
         "{{\n    \"sweep\": \"reference\",\n    \"sample_ms\": {},\n    \
-         \"samples\": {samples},\n    \"events\": {events},\n    \
+         \"cores\": {cores},\n    \"samples\": {samples},\n    \"events\": {events},\n    \
          \"wall_ms_off\": {},\n    \"wall_ms_on\": {},\n    \
          \"events_per_sec_off\": {},\n    \"events_per_sec_on\": {},\n    \
          \"overhead_pct\": {},\n    \"ns_per_sample\": {}\n  }}",
@@ -355,7 +365,22 @@ fn bench_metrics_overhead() -> String {
         json_f64(eps_on.round()),
         json_f64((overhead_pct * 100.0).round() / 100.0),
         json_f64((ns_per_sample * 10.0).round() / 10.0),
-    )
+    );
+    (json, overhead_pct)
+}
+
+/// The `--check-metrics-overhead` gate (see module docs). Exits non-zero
+/// when the recorder's overhead exceeds [`METRICS_OVERHEAD_LIMIT_PCT`].
+fn check_metrics_overhead() {
+    let (_, overhead_pct) = bench_metrics_overhead();
+    if overhead_pct > METRICS_OVERHEAD_LIMIT_PCT {
+        eprintln!(
+            "METRICS OVERHEAD REGRESSION {overhead_pct:.1}% \
+             (> {METRICS_OVERHEAD_LIMIT_PCT}% of the metrics-off wall time)"
+        );
+        std::process::exit(1);
+    }
+    println!("check-metrics-overhead: {overhead_pct:.1}% <= {METRICS_OVERHEAD_LIMIT_PCT}%: OK");
 }
 
 /// Recorded cold iteration counts of the committed `BENCH_sweep.json`, in
@@ -570,7 +595,7 @@ fn bench_sim(determinism_threads: usize) {
     );
     let shards_json = bench_shards();
     let shards_xsite_json = bench_shards_xsite();
-    let metrics_json = bench_metrics_overhead();
+    let (metrics_json, _) = bench_metrics_overhead();
     // Profiling counters merged across the reference points (`_hwm` names
     // take the max, everything else sums). Pure simulation state, so the
     // object is byte-identical run to run and across thread counts.
@@ -614,6 +639,10 @@ fn main() {
     }
     if args.iter().any(|a| a == "--check-iters") {
         check_iters();
+        return;
+    }
+    if args.iter().any(|a| a == "--check-metrics-overhead") {
+        check_metrics_overhead();
         return;
     }
     if args.iter().any(|a| a == "--emit-sim") {

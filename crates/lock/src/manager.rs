@@ -90,6 +90,9 @@ pub struct LockManager {
     table: FastMap<u32, Entry>,
     /// Blocks held per transaction (for O(held) release).
     held: FastMap<TxnToken, Vec<u32>>,
+    /// Sum of the `held` list lengths, kept in step with every change to
+    /// `held` so the lock-depth gauge is O(1).
+    granted: usize,
     /// Block each transaction is currently waiting on, if any.
     waiting_on: FastMap<TxnToken, u32>,
     /// Retired held-blocks vectors, recycled so the steady state allocates
@@ -159,6 +162,7 @@ impl LockManager {
                 .entry(owner)
                 .or_insert_with(|| self.spare_held.pop().unwrap_or_default())
                 .push(block);
+            self.granted += 1;
             Outcome::Granted
         } else {
             self.conflicts += 1;
@@ -232,9 +236,9 @@ impl LockManager {
     }
 
     /// Granted entries across the whole table — the lock-table depth
-    /// gauge. O(holders): sums the per-owner held-block lists.
+    /// gauge. O(1): a counter maintained alongside the held-block lists.
     pub fn granted_entries(&self) -> usize {
-        self.held.values().map(Vec::len).sum()
+        self.granted
     }
 
     /// Transactions currently waiting on some block — the node count this
@@ -287,6 +291,7 @@ impl LockManager {
         self.cancel_request_into(owner, woken);
 
         if let Some(mut blocks) = self.held.remove(&owner) {
+            self.granted -= blocks.len();
             for block in blocks.drain(..) {
                 let entry = self.table.get_mut(&block).expect("held lock has entry");
                 entry.granted.retain(|&(o, _)| o != owner);
@@ -325,6 +330,7 @@ impl LockManager {
                     .entry(head.owner)
                     .or_insert_with(|| self.spare_held.pop().unwrap_or_default())
                     .push(block);
+                self.granted += 1;
             }
             self.waiting_on.remove(&head.owner);
             woken.push((head.owner, block));
@@ -360,9 +366,15 @@ impl LockManager {
     }
 
     /// Internal consistency check (used by tests and property tests):
-    /// no two incompatible grants coexist, and every waiter/holder index
-    /// matches the table.
+    /// no two incompatible grants coexist, every waiter/holder index
+    /// matches the table, and the granted-entry counter equals the
+    /// held-list sum.
     pub fn check_invariants(&self) {
+        assert_eq!(
+            self.granted,
+            self.held.values().map(Vec::len).sum::<usize>(),
+            "granted-entry counter out of step with the held lists"
+        );
         for (block, entry) in &self.table {
             for i in 0..entry.granted.len() {
                 for j in (i + 1)..entry.granted.len() {

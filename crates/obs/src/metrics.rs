@@ -19,13 +19,26 @@
 //! Samples derive exclusively from simulation state and the virtual
 //! clock: no wall-clock quantities ever enter a recorder. The site-LP
 //! engine records one recorder per logical process, each sampling only its
-//! owned site, and merges them with [`merge_ordered`]: a stable time sort
-//! over a site-major concatenation, a pure function of the configuration.
-//! Metrics output is therefore byte-identical for every shard/thread
-//! count, which the CI metrics gates enforce. Wall-clock shard
+//! owned site, and merges them with [`merge_ordered`], a pure function of
+//! the configuration. Metrics output is therefore byte-identical for every
+//! shard/thread count, which the CI metrics gates enforce. Wall-clock shard
 //! diagnostics (busy/stall split, null messages) stay in
 //! [`crate::shardstats`] and are only folded into *terminal* summaries,
 //! never into these exports.
+//!
+//! ## Storage and merge
+//!
+//! The `(site, kind)` columns the engine emits are the same at every
+//! boundary, so a recorder learns that column schema at its first
+//! boundary and then stores one `f64` per sample; a boundary that
+//! deviates from the schema panics. A row's time is derived from its
+//! boundary index, `k · sample_ms`. [`merge_ordered`] moves the parts'
+//! logs without copying or sorting; readers walk boundary rows and,
+//! within a row, the parts in order. That is the order a stable time sort
+//! of the site-major concatenation gives — each part is already in time
+//! order, equal times keep part order, and rows are keyed by boundary
+//! index, so parts that stop at different boundaries (budget trips)
+//! interleave correctly. The exports walk [`MetricsRecorder::samples`].
 //!
 //! [`merge_ordered`]: MetricsRecorder::merge_ordered
 
@@ -244,7 +257,8 @@ impl MetricsConfig {
 }
 
 /// One sample: `value` of `kind` at site `site`, captured at virtual time
-/// `t_ms` (a boundary multiple of the cadence).
+/// `t_ms` (a boundary multiple of the cadence). The recorder stores
+/// samples in columnar form and yields them as this type.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MetricSample {
     /// Virtual time of the boundary (ms since simulation start).
@@ -257,13 +271,82 @@ pub struct MetricSample {
     pub value: f64,
 }
 
-/// The append-only sample log the engine records into, plus the boundary
-/// cursor that drives the sampling cadence.
+/// One part's boundary rows in columnar form: a fixed `(site, kind)`
+/// column schema, learned from the part's first boundary, and one value
+/// per column per row, row-major. Row `r` holds boundary `k = r + 1`, so
+/// a row's time is derived, never stored.
+#[derive(Debug, Clone, Default)]
+struct SampleLog {
+    columns: Vec<(u32, MetricKind)>,
+    values: Vec<f64>,
+    /// Finished rows.
+    rows: usize,
+    /// Column the next sample of the open row must match.
+    cursor: usize,
+}
+
+impl SampleLog {
+    /// Appends one value to the open row: the first row defines the
+    /// schema, every later row must repeat it column for column.
+    #[inline]
+    fn push(&mut self, site: u32, kind: MetricKind, value: f64) {
+        if self.rows == 0 {
+            self.columns.push((site, kind));
+        } else {
+            assert!(
+                self.columns.get(self.cursor) == Some(&(site, kind)),
+                "metrics schema violation: column {} of boundary {} is ({site}, {}), \
+                 the schema learned at the first boundary says {:?}",
+                self.cursor,
+                self.rows + 1,
+                kind.label(),
+                self.columns.get(self.cursor),
+            );
+        }
+        self.cursor += 1;
+        self.values.push(value);
+    }
+
+    /// Closes the open row, which must have filled every schema column.
+    fn finish_row(&mut self) {
+        assert_eq!(
+            self.cursor,
+            self.columns.len(),
+            "metrics schema violation: boundary {} recorded {} of {} columns",
+            self.rows + 1,
+            self.cursor,
+            self.columns.len(),
+        );
+        self.cursor = 0;
+        self.rows += 1;
+    }
+
+    /// The values of finished row `r` (empty past the last one).
+    fn row(&self, r: usize) -> &[f64] {
+        if r < self.rows {
+            let w = self.columns.len();
+            &self.values[r * w..(r + 1) * w]
+        } else {
+            &[]
+        }
+    }
+
+    /// Samples in finished rows.
+    fn len(&self) -> usize {
+        self.rows * self.columns.len()
+    }
+}
+
+/// The columnar sample log the engine records into, plus the boundary
+/// cursor that drives the sampling cadence. A recorder the engine writes
+/// holds one [`SampleLog`]; [`merge_ordered`](Self::merge_ordered) moves
+/// the logs of several parts into one recorder, which is then read-only.
 #[derive(Debug, Clone)]
 pub struct MetricsRecorder {
     filter: MetricsFilter,
     sample_ms: f64,
-    samples: Vec<MetricSample>,
+    /// One log per part, in merge (site) order.
+    logs: Vec<SampleLog>,
     /// Index of the next boundary to emit (boundary time = `next_k *
     /// sample_ms`; starts at 1 — the t=0 state is the trivial empty
     /// system).
@@ -276,7 +359,7 @@ impl MetricsRecorder {
         MetricsRecorder {
             filter: cfg.filter,
             sample_ms: cfg.sample_ms,
-            samples: Vec::new(),
+            logs: vec![SampleLog::default()],
             next_k: 1,
         }
     }
@@ -292,10 +375,16 @@ impl MetricsRecorder {
         self.next_k as f64 * self.sample_ms
     }
 
-    /// Marks the current boundary emitted and moves the cursor to the
-    /// next one. Called by the engine after recording a boundary's batch.
-    #[inline]
+    /// Closes the current boundary's row and moves the cursor to the next
+    /// boundary. Called by the engine after recording a boundary's batch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row's columns differ from the schema learned at the
+    /// first boundary, or if the recorder is a merge of several parts.
     pub fn finish_boundary(&mut self) {
+        assert_eq!(self.logs.len(), 1, "a merged recorder is read-only");
+        self.logs[0].finish_row();
         self.next_k += 1;
     }
 
@@ -305,60 +394,107 @@ impl MetricsRecorder {
         self.filter.accepts(kind)
     }
 
-    /// Appends one sample (dropped silently when the filter rejects its
-    /// kind, so emission sites need no gating).
+    /// Records one sample at the current boundary, [`next_boundary`]
+    /// (dropped silently when the filter rejects its kind, so emission
+    /// sites need no gating). Every boundary must record the same
+    /// `(site, kind)` columns in the same order.
+    ///
+    /// [`next_boundary`]: Self::next_boundary
     #[inline]
-    pub fn record(&mut self, t_ms: f64, site: u32, kind: MetricKind, value: f64) {
+    pub fn record(&mut self, site: u32, kind: MetricKind, value: f64) {
         if self.filter.accepts(kind) {
-            self.samples.push(MetricSample {
-                t_ms,
-                site,
-                kind,
-                value,
-            });
+            self.logs[0].push(site, kind, value);
         }
     }
 
-    /// Number of recorded samples.
+    /// Number of recorded samples (in finished boundaries).
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.logs.iter().map(SampleLog::len).sum()
     }
 
     /// Whether nothing was recorded.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.len() == 0
     }
 
-    /// The samples, oldest first.
-    pub fn samples(&self) -> &[MetricSample] {
-        &self.samples
+    /// Rows that hold at least one sample.
+    fn rows(&self) -> usize {
+        self.logs
+            .iter()
+            .filter(|l| !l.columns.is_empty())
+            .map(|l| l.rows)
+            .max()
+            .unwrap_or(0)
     }
 
-    /// Merges per-LP recorders from the site-LP engine: each part already
-    /// carries its true site index (an LP samples only its owned
-    /// site), so no re-tagging happens — the parts concatenate in the
-    /// order given (site-major) and stably sort by time.
+    /// Virtual time of row `r`: boundary `k = r + 1`, computed exactly as
+    /// [`next_boundary`](Self::next_boundary) computed it when the row
+    /// was recorded.
+    fn row_time(&self, r: usize) -> f64 {
+        (r as u64 + 1) as f64 * self.sample_ms
+    }
+
+    /// The samples, oldest first: boundary rows in time order and, within
+    /// a row, the parts in merge order, each in its column order.
+    pub fn samples(&self) -> impl Iterator<Item = MetricSample> + '_ {
+        (0..self.rows()).flat_map(move |r| {
+            let t_ms = self.row_time(r);
+            self.logs.iter().flat_map(move |log| {
+                log.columns
+                    .iter()
+                    .zip(log.row(r))
+                    .map(move |(&(site, kind), &value)| MetricSample {
+                        t_ms,
+                        site,
+                        kind,
+                        value,
+                    })
+            })
+        })
+    }
+
+    /// The sites that have samples, ascending.
+    pub(crate) fn sites(&self) -> Vec<u32> {
+        let mut sites: Vec<u32> = self
+            .logs
+            .iter()
+            .filter(|l| l.rows > 0)
+            .flat_map(|l| l.columns.iter().map(|&(site, _)| site))
+            .collect();
+        sites.sort_unstable();
+        sites.dedup();
+        sites
+    }
+
+    /// Merges per-LP recorders from the site-LP engine by moving their
+    /// logs, in the order given (site-major), into one read-only
+    /// recorder; no sample is copied or re-tagged (an LP samples only its
+    /// owned site). Readers walk boundary rows and, within a row, the
+    /// parts in order — the order a stable time sort of the concatenated
+    /// parts would give, including parts that stop at different
+    /// boundaries after a budget trip, because rows are keyed by boundary
+    /// index.
     ///
     /// # Panics
     ///
-    /// Panics if `parts` is empty.
+    /// Panics if `parts` is empty or the parts disagree on the cadence.
     pub fn merge_ordered(parts: Vec<MetricsRecorder>) -> MetricsRecorder {
         let first = parts
             .first()
             .expect("merge_ordered needs at least one part");
         let (filter, sample_ms) = (first.filter, first.sample_ms);
-        let mut samples: Vec<MetricSample> =
-            Vec::with_capacity(parts.iter().map(MetricsRecorder::len).sum());
-        let mut next_k = 1;
-        for part in &parts {
-            next_k = next_k.max(part.next_k);
-            samples.extend(part.samples.iter().copied());
-        }
-        samples.sort_by(|a, b| a.t_ms.partial_cmp(&b.t_ms).expect("finite sample times"));
+        let next_k = parts.iter().map(|p| p.next_k).max().unwrap_or(1);
+        let logs = parts
+            .into_iter()
+            .flat_map(|p| {
+                assert_eq!(p.sample_ms, sample_ms, "merged parts share one cadence");
+                p.logs
+            })
+            .collect();
         MetricsRecorder {
             filter,
             sample_ms,
-            samples,
+            logs,
             next_k,
         }
     }
@@ -366,8 +502,8 @@ impl MetricsRecorder {
     /// Renders the samples as JSONL: one self-describing object per
     /// sample, oldest first — the machine-consumption format.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::with_capacity(self.samples.len() * 72);
-        for s in &self.samples {
+        let mut out = String::with_capacity(self.len() * 72);
+        for s in self.samples() {
             out.push_str(&format!(
                 "{{\"t_ms\": {}, \"site\": {}, \"metric\": \"{}\", \"value\": {}}}\n",
                 crate::fmt_f64(s.t_ms),
@@ -381,9 +517,9 @@ impl MetricsRecorder {
 
     /// Renders the samples as CSV with a `t_ms,site,metric,value` header.
     pub fn to_csv(&self) -> String {
-        let mut out = String::with_capacity(self.samples.len() * 40 + 24);
+        let mut out = String::with_capacity(self.len() * 40 + 24);
         out.push_str("t_ms,site,metric,value\n");
-        for s in &self.samples {
+        for s in self.samples() {
             out.push_str(&format!(
                 "{},{},{},{}\n",
                 crate::fmt_f64(s.t_ms),
@@ -401,7 +537,7 @@ impl MetricsRecorder {
     /// process (`pid` = site), exactly where the lifecycle trace puts the
     /// site's slices — so counters and events share one timeline.
     pub fn chrome_counter_lines(&self) -> impl Iterator<Item = String> + '_ {
-        self.samples.iter().map(|s| {
+        self.samples().map(|s| {
             format!(
                 "{{\"ph\": \"C\", \"name\": \"{}\", \"cat\": \"metric\", \"pid\": {}, \
                  \"ts\": {}, \"args\": {{\"value\": {}}}}}",
@@ -420,11 +556,8 @@ impl MetricsRecorder {
     /// [`Tracer::to_chrome_json_with`](crate::Tracer::to_chrome_json_with)
     /// instead.
     pub fn to_chrome_json(&self) -> String {
-        let mut out = String::with_capacity(self.samples.len() * 96 + 256);
+        let mut out = String::with_capacity(self.len() * 96 + 256);
         out.push_str("{\"traceEvents\": [\n");
-        let mut sites: Vec<u32> = self.samples.iter().map(|s| s.site).collect();
-        sites.sort_unstable();
-        sites.dedup();
         let mut first = true;
         let mut push = |out: &mut String, line: String| {
             if !first {
@@ -434,7 +567,7 @@ impl MetricsRecorder {
             out.push_str("  ");
             out.push_str(&line);
         };
-        for &n in &sites {
+        for n in self.sites() {
             push(
                 &mut out,
                 format!(
@@ -454,30 +587,31 @@ impl MetricsRecorder {
     /// sites), in [`MetricKind::ALL`] order; kinds with no samples are
     /// omitted. `spark_width` is the sparkline column count.
     pub fn summarize(&self, spark_width: usize) -> Vec<MetricSummary> {
-        let mut out = Vec::new();
-        if self.samples.is_empty() {
-            return out;
+        let rows = self.rows();
+        if rows == 0 {
+            return Vec::new();
         }
-        let t_min = self.samples.first().expect("nonempty").t_ms;
-        let t_max = self.samples.last().expect("nonempty").t_ms;
-        for kind in MetricKind::ALL {
-            let mut vals: Vec<f64> = Vec::new();
-            let mut spark_sum = vec![0.0f64; spark_width.max(1)];
-            let mut spark_n = vec![0u64; spark_width.max(1)];
-            for s in &self.samples {
-                if s.kind != kind {
-                    continue;
-                }
-                vals.push(s.value);
-                let frac = if t_max > t_min {
-                    (s.t_ms - t_min) / (t_max - t_min)
-                } else {
-                    0.0
-                };
-                let col = ((frac * spark_sum.len() as f64) as usize).min(spark_sum.len() - 1);
-                spark_sum[col] += s.value;
-                spark_n[col] += 1;
-            }
+        let (t_min, t_max) = (self.row_time(0), self.row_time(rows - 1));
+        let width = spark_width.max(1);
+        // One pass in sample order; per kind: values, spark sums, counts.
+        let mut acc: Vec<(Vec<f64>, Vec<f64>, Vec<u64>)> = MetricKind::ALL
+            .iter()
+            .map(|_| (Vec::new(), vec![0.0; width], vec![0; width]))
+            .collect();
+        for s in self.samples() {
+            let (vals, spark_sum, spark_n) = &mut acc[s.kind as usize];
+            vals.push(s.value);
+            let frac = if t_max > t_min {
+                (s.t_ms - t_min) / (t_max - t_min)
+            } else {
+                0.0
+            };
+            let col = ((frac * width as f64) as usize).min(width - 1);
+            spark_sum[col] += s.value;
+            spark_n[col] += 1;
+        }
+        let mut out = Vec::new();
+        for (kind, (vals, spark_sum, spark_n)) in MetricKind::ALL.into_iter().zip(acc) {
             if vals.is_empty() {
                 continue;
             }
@@ -604,10 +738,11 @@ mod tests {
             sample_ms: 5.0,
             filter: MetricsFilter::parse("tx").unwrap(),
         });
-        m.record(5.0, 0, MetricKind::TxActive, 3.0);
-        m.record(5.0, 0, MetricKind::CpuQ, 9.0);
+        m.record(0, MetricKind::TxActive, 3.0);
+        m.record(0, MetricKind::CpuQ, 9.0);
+        m.finish_boundary();
         assert_eq!(m.len(), 1);
-        assert_eq!(m.samples()[0].kind, MetricKind::TxActive);
+        assert_eq!(m.samples().next().unwrap().kind, MetricKind::TxActive);
         assert!(m.accepts(MetricKind::TxBlocked));
         assert!(!m.accepts(MetricKind::CpuQ));
     }
@@ -615,19 +750,79 @@ mod tests {
     #[test]
     fn merge_ordered_keeps_site_tags_and_part_order_on_ties() {
         let mut a = rec(10.0);
-        a.record(10.0, 1, MetricKind::TxActive, 4.0);
+        a.record(1, MetricKind::TxActive, 4.0);
+        a.finish_boundary();
         let mut b = rec(10.0);
-        b.record(10.0, 0, MetricKind::TxActive, 7.0);
+        b.record(0, MetricKind::TxActive, 7.0);
+        b.finish_boundary();
         let merged = MetricsRecorder::merge_ordered(vec![a, b]);
-        let got: Vec<u32> = merged.samples().iter().map(|s| s.site).collect();
+        let got: Vec<u32> = merged.samples().map(|s| s.site).collect();
         assert_eq!(got, vec![1, 0], "ties keep part (concatenation) order");
+    }
+
+    #[test]
+    fn merge_interleaves_rows_of_parts_that_stop_at_different_boundaries() {
+        let part = |site: u32, rows: u64| {
+            let mut m = rec(10.0);
+            for k in 1..=rows {
+                m.record(site, MetricKind::CpuQ, k as f64);
+                m.record(site, MetricKind::TmQ, -(k as f64));
+                m.finish_boundary();
+            }
+            m
+        };
+        let merged = MetricsRecorder::merge_ordered(vec![part(0, 3), part(1, 1), part(2, 2)]);
+        let got: Vec<(f64, u32, f64)> = merged
+            .samples()
+            .map(|s| (s.t_ms, s.site, s.value))
+            .collect();
+        let want = vec![
+            (10.0, 0, 1.0),
+            (10.0, 0, -1.0),
+            (10.0, 1, 1.0),
+            (10.0, 1, -1.0),
+            (10.0, 2, 1.0),
+            (10.0, 2, -1.0),
+            (20.0, 0, 2.0),
+            (20.0, 0, -2.0),
+            (20.0, 2, 2.0),
+            (20.0, 2, -2.0),
+            (30.0, 0, 3.0),
+            (30.0, 0, -3.0),
+        ];
+        assert_eq!(got, want);
+        assert_eq!(merged.len(), want.len());
+        assert_eq!(merged.next_boundary(), 40.0, "the furthest part's cursor");
+    }
+
+    #[test]
+    #[should_panic(expected = "metrics schema violation")]
+    fn a_boundary_with_other_columns_is_rejected() {
+        let mut m = rec(10.0);
+        m.record(0, MetricKind::CpuQ, 1.0);
+        m.record(0, MetricKind::DiskQ, 1.0);
+        m.finish_boundary();
+        m.record(0, MetricKind::CpuQ, 1.0);
+        m.record(1, MetricKind::DiskQ, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "recorded 1 of 2 columns")]
+    fn a_boundary_with_missing_columns_is_rejected() {
+        let mut m = rec(10.0);
+        m.record(0, MetricKind::CpuQ, 1.0);
+        m.record(0, MetricKind::DiskQ, 1.0);
+        m.finish_boundary();
+        m.record(0, MetricKind::CpuQ, 1.0);
+        m.finish_boundary();
     }
 
     #[test]
     fn exports_are_canonical() {
         let mut m = rec(10.0);
-        m.record(10.0, 0, MetricKind::CpuQ, 1.5);
-        m.record(10.0, 1, MetricKind::JournalBytes, 4096.0);
+        m.record(0, MetricKind::CpuQ, 1.5);
+        m.record(1, MetricKind::JournalBytes, 4096.0);
+        m.finish_boundary();
         let jsonl = m.to_jsonl();
         assert_eq!(
             jsonl,
@@ -652,7 +847,7 @@ mod tests {
     fn summary_aggregates_and_draws_a_sparkline() {
         let mut m = rec(10.0);
         for k in 1..=100u64 {
-            m.record(k as f64 * 10.0, 0, MetricKind::TmQ, k as f64);
+            m.record(0, MetricKind::TmQ, k as f64);
             m.finish_boundary();
         }
         let rows = m.summarize(10);

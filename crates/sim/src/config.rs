@@ -1,7 +1,15 @@
 //! Simulation configuration.
 
-use carat_obs::{MetricsConfig, TraceConfig};
+use carat_obs::{MetricKind, MetricsConfig, TraceConfig};
 use carat_workload::{SystemParams, WorkloadSpec};
+
+/// The most metric samples a run may schedule: [`SimConfig::validate`]
+/// rejects `metrics.sample_ms` when `floor((warmup_ms + measure_ms) /
+/// sample_ms) × sites × MetricKind::ALL.len()` exceeds it. At 8 bytes per
+/// sample in the recorder's columnar log the cap is 512 MiB of sample
+/// values (transiently up to 1.5 GiB while the log doubles); a JSONL
+/// export of a full log would take about 70 bytes per sample, ~4.4 GiB.
+pub const MAX_METRIC_SAMPLES: u64 = 1 << 26;
 
 /// A configuration the simulator refuses to run, with enough structure for
 /// callers to report the problem instead of aborting.
@@ -551,6 +559,21 @@ impl SimConfig {
                 return param(
                     "metrics.sample_ms",
                     format!("{} must be finite and positive", m.sample_ms),
+                );
+            }
+            let boundaries = ((self.warmup_ms + self.measure_ms) / m.sample_ms).floor();
+            let samples = boundaries * self.params.sites() as f64 * MetricKind::ALL.len() as f64;
+            if samples > MAX_METRIC_SAMPLES as f64 {
+                return param(
+                    "metrics.sample_ms",
+                    format!(
+                        "{} ms over a {} ms run at {} sites schedules up to {samples:.3e} \
+                         samples, more than the recorder's cap of {MAX_METRIC_SAMPLES} \
+                         (MAX_METRIC_SAMPLES); use a longer cadence or a shorter run",
+                        m.sample_ms,
+                        self.warmup_ms + self.measure_ms,
+                        self.params.sites(),
+                    ),
                 );
             }
         }

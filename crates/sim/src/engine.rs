@@ -601,6 +601,9 @@ pub struct Sim {
     victims_scratch: Vec<(u64, TxId)>,
     /// Abort-program assembly: sites needing rollback.
     sites_scratch: Vec<usize>,
+    /// Metrics boundaries: per-site `[active, blocked, deciding]`
+    /// transaction census, sized at the first boundary and reused.
+    census_scratch: Vec<[u64; 3]>,
     /// Abort-program assembly: the program under construction (swapped
     /// into the victim, taking its old program's capacity in exchange).
     abort_prog: Program,
@@ -772,6 +775,7 @@ impl Sim {
             stranded_scratch: Vec::new(),
             victims_scratch: Vec::new(),
             sites_scratch: Vec::new(),
+            census_scratch: Vec::new(),
             abort_prog: Program::with_capacity(0),
             blocks_scratch: HashSet::new(),
             route_scratch: Vec::new(),
@@ -1015,13 +1019,15 @@ impl Sim {
         }
     }
 
-    /// Records one boundary's batch of samples at virtual time `b`. The
-    /// monolithic engine samples every site; a coupled-engine LP samples
-    /// only its owned site (peer node states are inert there), so the
-    /// merged timeseries covers each site exactly once. Values are pure
-    /// functions of `(state, b)` — no wall clock, no RNG — and kinds are
-    /// emitted in [`MetricKind::ALL`] order per site, so the sample
-    /// stream is canonical.
+    /// Records one boundary's batch of samples at the recorder's current
+    /// boundary `b`. The monolithic engine samples every site; an LP
+    /// samples only its owned site (peer node states are inert there), so
+    /// the merged timeseries covers each site exactly once. Values are
+    /// pure functions of `(state, b)` — no wall clock, no RNG — and kinds
+    /// are emitted in [`MetricKind::ALL`] order per site. Which
+    /// `(site, kind)` columns are emitted depends only on the
+    /// configuration, so every boundary repeats the recorder's schema.
+    /// Allocation-free after the first boundary.
     fn metrics_sample_at(&mut self, b: Time) {
         let mut m = self.metrics.take().expect("caller checked");
         let census = m.accepts(MetricKind::TxActive)
@@ -1031,20 +1037,20 @@ impl Sim {
         // Per-site transaction census: active by *home* (ghosts stand in
         // for transactions visiting other LPs, so each counts exactly
         // once), blocked and 2PC-deciding by *current* site.
-        let mut active = vec![0u64; if census { sites } else { 0 }];
-        let mut blocked = vec![0u64; if census { sites } else { 0 }];
-        let mut deciding = vec![0u64; if census { sites } else { 0 }];
+        let mut counts = std::mem::take(&mut self.census_scratch);
         if census {
+            counts.clear();
+            counts.resize(sites, [0; 3]);
             for (_, tx) in self.txs.iter() {
                 if tx.home < sites {
-                    active[tx.home] += 1;
+                    counts[tx.home][0] += 1;
                 }
                 if !tx.away && tx.at_site < sites {
                     if tx.blocked_since.is_some() {
-                        blocked[tx.at_site] += 1;
+                        counts[tx.at_site][1] += 1;
                     }
                     if tx.decided {
-                        deciding[tx.at_site] += 1;
+                        counts[tx.at_site][2] += 1;
                     }
                 }
             }
@@ -1052,65 +1058,56 @@ impl Sim {
         for i in self.live_sites() {
             let site = i as u32;
             let node = &self.nodes[i];
-            m.record(b, site, MetricKind::CpuQ, node.cpu.population() as f64);
-            m.record(b, site, MetricKind::DiskQ, node.disk.population() as f64);
+            m.record(site, MetricKind::CpuQ, node.cpu.population() as f64);
+            m.record(site, MetricKind::DiskQ, node.disk.population() as f64);
             if self.cfg.separate_log_disk {
                 m.record(
-                    b,
                     site,
                     MetricKind::LogDiskQ,
                     node.log_disk.population() as f64,
                 );
             }
             let tm = node.tm_queue.len() + usize::from(node.tm_busy.is_some());
-            m.record(b, site, MetricKind::TmQ, tm as f64);
-            m.record(b, site, MetricKind::DmQ, node.dm_queue.len() as f64);
-            m.record(b, site, MetricKind::CpuUtil, node.cpu.utilization(b));
-            m.record(b, site, MetricKind::DiskUtil, node.disk.utilization(b));
+            m.record(site, MetricKind::TmQ, tm as f64);
+            m.record(site, MetricKind::DmQ, node.dm_queue.len() as f64);
+            m.record(site, MetricKind::CpuUtil, node.cpu.utilization(b));
+            m.record(site, MetricKind::DiskUtil, node.disk.utilization(b));
             if self.cfg.separate_log_disk {
-                m.record(
-                    b,
-                    site,
-                    MetricKind::LogDiskUtil,
-                    node.log_disk.utilization(b),
-                );
+                m.record(site, MetricKind::LogDiskUtil, node.log_disk.utilization(b));
             }
             m.record(
-                b,
                 site,
                 MetricKind::DmInUse,
                 (self.cfg.dm_pool - node.dm_free) as f64,
             );
             if census {
-                m.record(b, site, MetricKind::TxActive, active[i] as f64);
-                m.record(b, site, MetricKind::TxBlocked, blocked[i] as f64);
+                m.record(site, MetricKind::TxActive, counts[i][0] as f64);
+                m.record(site, MetricKind::TxBlocked, counts[i][1] as f64);
             }
             m.record(
-                b,
                 site,
                 MetricKind::LockDepth,
                 node.locks.granted_entries() as f64,
             );
             m.record(
-                b,
                 site,
                 MetricKind::LockWaiters,
                 node.locks.waiting_count() as f64,
             );
             if census {
-                m.record(b, site, MetricKind::TwopcInflight, deciding[i] as f64);
+                m.record(site, MetricKind::TwopcInflight, counts[i][2] as f64);
             }
             m.record(
-                b,
                 site,
                 MetricKind::JournalBytes,
                 node.db.journal().len_bytes() as f64,
             );
             if self.xsite {
-                m.record(b, site, MetricKind::XmsgIn, self.xmsg_in as f64);
-                m.record(b, site, MetricKind::XmsgOut, self.xmsg_out as f64);
+                m.record(site, MetricKind::XmsgIn, self.xmsg_in as f64);
+                m.record(site, MetricKind::XmsgOut, self.xmsg_out as f64);
             }
         }
+        self.census_scratch = counts;
         self.metrics = Some(m);
     }
 

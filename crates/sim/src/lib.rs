@@ -101,7 +101,7 @@ pub use carat_obs::{
 };
 pub use config::{
     CcProtocol, DeadlockMode, DegradationPolicy, FaultPlan, PartitionPlan, SimConfig,
-    SimConfigError, SplitSpec, VictimPolicy,
+    SimConfigError, SplitSpec, VictimPolicy, MAX_METRIC_SAMPLES,
 };
 pub use engine::{Sim, SimError};
 pub use report::{AvailabilityReport, NodeReport, SimReport, TypeReport};

@@ -268,8 +268,9 @@ pub(crate) fn run_coupled(cfg: SimConfig) -> Result<RunOutput, SimError> {
     };
 
     // Metrics likewise: each LP's recorder holds only its own site's
-    // samples (already site-tagged), so the merge is part order + stable
-    // time sort, a pure function of the configuration.
+    // samples (already site-tagged); the merge moves the logs in part
+    // order and interleaves their boundary rows, a pure function of the
+    // configuration.
     let metrics = if metrics_on {
         let parts: Vec<MetricsRecorder> = outcomes
             .iter_mut()

@@ -2,8 +2,10 @@
 //! off-path neutrality, and byte-identical output for every shard count
 //! (the determinism contract the CI gates also enforce end to end).
 
-use carat::obs::{MetricsConfig, MetricsFilter};
-use carat::sim::{DeadlockMode, Sim, SimConfig, SimError, SimReport};
+use carat::obs::{MetricsConfig, MetricsFilter, TraceConfig};
+use carat::sim::{
+    DeadlockMode, Sim, SimConfig, SimConfigError, SimError, SimReport, MAX_METRIC_SAMPLES,
+};
 use carat::workload::{StandardWorkload, SystemParams};
 use proptest::prelude::*;
 
@@ -45,11 +47,8 @@ fn sampling_stops_at_the_run_end_when_the_cadence_does_not_divide_it() {
         .run_checked_instrumented()
         .expect("no budget");
     let metrics = metrics.expect("metrics were on");
-    let times: std::collections::BTreeSet<u64> = metrics
-        .samples()
-        .iter()
-        .map(|s| s.t_ms.round() as u64)
-        .collect();
+    let times: std::collections::BTreeSet<u64> =
+        metrics.samples().map(|s| s.t_ms.round() as u64).collect();
     let expected: std::collections::BTreeSet<u64> = (1..=6).map(|k| k * 400).collect();
     assert_eq!(times, expected, "one sample row per boundary <= end");
 }
@@ -97,6 +96,145 @@ fn a_budget_trip_keeps_exactly_the_samples_before_the_trip_instant() {
             sim_time_ms
         );
     }
+}
+
+#[test]
+fn a_site_lp_budget_trip_keeps_time_ordered_partial_samples() {
+    // Site-separable LB8 at 4 sites runs one LP per site; each LP trips
+    // its own share of the budget at its own instant, so the parts stop
+    // at different boundaries and the merge interleaves uneven rows.
+    let mut cfg = local_cfg(4, 7);
+    cfg.metrics = Some(MetricsConfig::new(5.0));
+    cfg.max_events = 400;
+    let err = Sim::new(cfg)
+        .expect("valid")
+        .run_checked_instrumented()
+        .expect_err("budget must trip");
+    let SimError::EventBudgetExhausted {
+        partial_metrics, ..
+    } = err;
+    let partial = *partial_metrics.expect("metrics were on");
+    assert!(!partial.is_empty(), "the LPs got past the first boundary");
+    let times: Vec<f64> = partial.samples().map(|s| s.t_ms).collect();
+    assert_eq!(partial.len(), times.len(), "len() counts every sample");
+    assert!(
+        times.windows(2).all(|w| w[0] <= w[1]),
+        "partial samples are non-decreasing in time"
+    );
+    let mut per_site = [0usize; 4];
+    partial
+        .samples()
+        .for_each(|s| per_site[s.site as usize] += 1);
+    assert!(
+        per_site.iter().any(|&n| n != per_site[0]),
+        "the LPs stopped at different boundaries: {per_site:?}"
+    );
+}
+
+#[test]
+fn a_cadence_that_schedules_too_many_samples_is_rejected() {
+    // The CLI's `--metrics 0.0001` on a 66 s, 2-site run: ~2.2e10
+    // samples, which used to abort the process on allocation failure.
+    let mut cfg = SimConfig::new(StandardWorkload::Lb8.spec(2), 8, 1);
+    cfg.warmup_ms = 6_000.0;
+    cfg.measure_ms = 60_000.0;
+    cfg.metrics = Some(MetricsConfig::new(0.0001));
+    let err = Sim::new(cfg.clone()).err().expect("rejected");
+    assert!(
+        matches!(
+            &err,
+            SimConfigError::InvalidParameter {
+                name: "metrics.sample_ms",
+                ..
+            }
+        ),
+        "{err:?}"
+    );
+    assert!(err.to_string().contains("MAX_METRIC_SAMPLES"), "{err}");
+    // The cap is exact: the largest cadence over it fails, the next
+    // cadence that fits passes.
+    let end = cfg.warmup_ms + cfg.measure_ms;
+    let per_boundary = (2 * carat::obs::MetricKind::ALL.len()) as f64;
+    let max_boundaries = (MAX_METRIC_SAMPLES as f64 / per_boundary).floor();
+    cfg.metrics = Some(MetricsConfig::new(end / max_boundaries));
+    assert!(cfg.validate().is_ok(), "exactly at the cap");
+    cfg.metrics = Some(MetricsConfig::new(end / (max_boundaries + 1.0)));
+    assert!(cfg.validate().is_err(), "one boundary over the cap");
+}
+
+/// FNV-1a, 64 bit: a dependency-free fingerprint for the golden fixture.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The golden configurations: a site-LP run (LB8, 4 sites), the same run
+/// tripped by its event budget (uneven parts), and a monolithic run
+/// (MB8, 2 sites); metrics every 20 ms and a lifecycle trace.
+fn golden_cases() -> Vec<(&'static str, SimConfig)> {
+    let observed = |mut cfg: SimConfig| {
+        cfg.metrics = Some(MetricsConfig::new(20.0));
+        cfg.trace = Some(TraceConfig {
+            capacity: 1 << 16,
+            ..TraceConfig::default()
+        });
+        cfg
+    };
+    let lp = observed(local_cfg(4, 3));
+    let mut lp_trip = lp.clone();
+    lp_trip.max_events = 400;
+    let mut mono = SimConfig::new(StandardWorkload::Mb8.spec(2), 8, 3);
+    mono.warmup_ms = 500.0;
+    mono.measure_ms = 2_000.0;
+    vec![
+        ("lp_lb8_4site", lp),
+        ("lp_lb8_4site_trip", lp_trip),
+        ("mono_mb8_2site", observed(mono)),
+    ]
+}
+
+/// One fixture line `case format bytes fnv1a64` per export of every
+/// golden case: the metrics JSONL, CSV and Chrome JSON, and the Chrome
+/// trace with the metrics as counter tracks (untripped runs only).
+fn golden_lines() -> String {
+    let mut out = String::new();
+    for (name, cfg) in golden_cases() {
+        let (tracer, metrics) = match Sim::new(cfg).expect("valid").run_checked_instrumented() {
+            Ok((_, tracer, metrics)) => (tracer, metrics.expect("metrics were on")),
+            Err(SimError::EventBudgetExhausted {
+                partial_metrics, ..
+            }) => (None, *partial_metrics.expect("metrics were on")),
+        };
+        let mut exports = vec![
+            ("jsonl", metrics.to_jsonl()),
+            ("csv", metrics.to_csv()),
+            ("json", metrics.to_chrome_json()),
+        ];
+        if let Some(tracer) = tracer {
+            exports.push(("trace", tracer.to_chrome_json_with(Some(&metrics))));
+        }
+        for (format, body) in exports {
+            out.push_str(&format!(
+                "{name} {format} {} {:016x}\n",
+                body.len(),
+                fnv1a64(body.as_bytes())
+            ));
+        }
+    }
+    out
+}
+
+#[test]
+fn metrics_exports_match_the_pinned_golden_bytes() {
+    // Pinned from the stable-sort recorder the columnar log replaced; a
+    // merge that reorders, drops or re-times a sample changes a hash.
+    let want: String = include_str!("fixtures/metrics_golden.txt")
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert_eq!(golden_lines(), want);
 }
 
 #[test]
