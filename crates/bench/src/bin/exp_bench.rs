@@ -20,9 +20,10 @@
 //!   recorded from the shard telemetry);
 //! * **emit** (`--emit [--out PATH]`): solves the same model grid
 //!   honouring the engine flags (`--threads N`, `--sequential`,
-//!   `--no-warm`) and the solver flag `--accel off|anderson`, and writes
-//!   the canonical JSON result rows. CI runs this twice — `--threads 4` and `--sequential`,
-//!   with and without acceleration — and byte-compares the files;
+//!   `--no-warm`) and the solver flag `--accel off|anderson` (default
+//!   anderson), and writes the canonical JSON result rows. CI runs this
+//!   twice — `--threads 4` and `--sequential`, once with `--accel off` and
+//!   once with `--accel anderson` — and byte-compares the files;
 //! * **emit-sim** (`--emit-sim [--reps R] [--shards K] [--out PATH]`):
 //!   runs R replications of every reference sim point on the
 //!   deterministic pool and writes the canonical replicated JSON. CI
@@ -681,7 +682,11 @@ fn main() {
     // warm starting changes iteration counts, so those two legitimately
     // differ from each other). Then the same gate with acceleration on:
     // the accelerated trajectory must also be thread-count invariant.
-    let plain = ModelOptions::default();
+    let accel_opts = |accel: Accel| ModelOptions {
+        accel,
+        ..ModelOptions::default()
+    };
+    let plain = accel_opts(Accel::Off);
     let (cold_json, cold_iters, _) = solve_grid(&variants[0].1, &plain);
     let (warm_json, warm_iters, _) = solve_grid(&variants[1].1, &plain);
     assert_eq!(
@@ -694,10 +699,6 @@ fn main() {
         warm_json, warm_par_json,
         "parallel warm sweep diverged from sequential"
     );
-    let accel_opts = |accel: Accel| ModelOptions {
-        accel,
-        ..ModelOptions::default()
-    };
     let (accel_seq_json, anderson_iters, _) =
         solve_grid(&variants[0].1, &accel_opts(Accel::Anderson));
     assert_eq!(

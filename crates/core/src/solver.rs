@@ -49,16 +49,17 @@ impl ModelConfig {
 /// `Pra`) and is safeguarded: a candidate that leaves the [0, 1] /
 /// positivity bounds is discarded before being applied, and an applied
 /// step whose follow-up residual grows too far is rolled back to the plain
-/// damped iterate (with a short cooldown). `Off` is byte-identical to the
+/// damped iterate (with a short cooldown). Anderson is the default; `Off`
+/// is the paper's plain damped procedure, byte-identical to the
 /// unaccelerated solver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Accel {
-    /// Plain damped iteration (the default).
-    #[default]
+    /// Plain damped iteration (paper §6).
     Off,
-    /// Anderson mixing with history depth 3: each step combines the last
-    /// four iterates through a small regularised least-squares problem over
-    /// their residuals.
+    /// Anderson mixing with history depth 3 (the default): each step
+    /// combines the last four iterates through a small regularised
+    /// least-squares problem over their residuals.
+    #[default]
     Anderson,
 }
 
@@ -85,8 +86,8 @@ pub struct ModelOptions {
     pub tol: f64,
     /// Iteration cap.
     pub max_iter: usize,
-    /// Outer-loop acceleration (see [`Accel`]; `Off` keeps the solve
-    /// byte-identical to the plain damped iteration).
+    /// Outer-loop acceleration (see [`Accel`]; Anderson by default, `Off`
+    /// keeps the solve byte-identical to the plain damped iteration).
     pub accel: Accel,
     /// Ablation: ignore deadlocks/rollback entirely (`Pd = 0`), as many
     /// earlier models did.
@@ -118,7 +119,7 @@ impl Default for ModelOptions {
             damping: 0.5,
             tol: 1e-9,
             max_iter: 400,
-            accel: Accel::Off,
+            accel: Accel::Anderson,
             ignore_deadlocks: false,
             all_locks_exclusive: false,
             fixed_br: None,

@@ -1,12 +1,13 @@
 //! Behavioural tests of the accelerated fixed-point solver: with
 //! acceleration enabled the solve must land on the *same* fixed point as
 //! the plain damped iteration (the safeguards make acceleration a pure
-//! convergence-speed transform), and with acceleration off the solver must
-//! remain bitwise identical to the historical behaviour.
+//! convergence-speed transform). Anderson is the default; with
+//! acceleration off the solver must remain bitwise identical to the
+//! historical behaviour.
 
 use carat_model::{Accel, Model, ModelConfig, ModelOptions, ModelReport};
 use carat_obs::IterLog;
-use carat_workload::{StandardWorkload, TxType, WorkloadSpec};
+use carat_workload::{StandardWorkload, SystemParams, TxType, WorkloadSpec};
 use proptest::prelude::*;
 
 fn solve_with(wl: StandardWorkload, n: u32, accel: Accel) -> ModelReport {
@@ -20,12 +21,19 @@ fn solve_with(wl: StandardWorkload, n: u32, accel: Accel) -> ModelReport {
     .solve()
 }
 
+/// The `sites`-site cluster configuration of a standard mix.
+fn cluster(wl: StandardWorkload, sites: usize, n: u32) -> ModelConfig {
+    let mut cfg = ModelConfig::new(wl.spec(sites), n);
+    cfg.params = SystemParams::with_sites(sites);
+    cfg
+}
+
 /// The fixed-point comparisons solve at a tolerance well below the 1e-9
 /// agreement they assert, so both iterates sit closer to the fixed point
 /// than the distance being measured.
-fn solve_tight(wl: StandardWorkload, n: u32, accel: Accel, damping: f64) -> ModelReport {
+fn solve_tight(cfg: ModelConfig, accel: Accel, damping: f64) -> ModelReport {
     Model::with_options(
-        ModelConfig::new(wl.spec(2), n),
+        cfg,
         ModelOptions {
             accel,
             damping,
@@ -64,27 +72,61 @@ fn assert_reports_close(a: &ModelReport, b: &ModelReport, tol: f64) {
 }
 
 /// Anderson lands on the plain fixed point at the default damping and at
-/// non-default ones (the extrapolation rescales by `1/λ`).
+/// non-default ones (the extrapolation rescales by `1/λ`), on the testbed
+/// pair and on 4-site clusters. The 4-site points leave out λ = 0.8: there
+/// the plain iteration cycles on UB6 at n = 20, so it has no fixed point
+/// to compare against.
 #[test]
 fn anderson_reaches_the_plain_fixed_point() {
-    for wl in [
+    let two_site = [
         StandardWorkload::Lb8,
         StandardWorkload::Mb4,
         StandardWorkload::Mb8,
         StandardWorkload::Ub6,
-    ] {
-        for n in [4u32, 12, 20] {
-            for damping in [0.3, 0.5, 0.8] {
-                let plain = solve_tight(wl, n, Accel::Off, damping);
-                assert!(plain.convergence.converged, "{wl:?} n={n} λ={damping}");
-                assert_eq!(plain.convergence.accel_accepted, 0);
-                assert_eq!(plain.convergence.accel_rejected, 0);
-                let fast = solve_tight(wl, n, Accel::Anderson, damping);
-                assert!(fast.convergence.converged, "{wl:?} n={n} λ={damping}");
-                assert_reports_close(&plain, &fast, 1e-9);
-            }
+    ]
+    .into_iter()
+    .flat_map(|wl| [4u32, 12, 20].map(|n| (wl, 2usize, n, [0.3, 0.5, 0.8].as_slice())));
+    let four_site = [StandardWorkload::Mb4, StandardWorkload::Ub6]
+        .into_iter()
+        .flat_map(|wl| [12u32, 20].map(|n| (wl, 4usize, n, [0.3, 0.5].as_slice())));
+    for (wl, sites, n, dampings) in two_site.chain(four_site) {
+        for &damping in dampings {
+            let at = format!("{wl:?} sites={sites} n={n} λ={damping}");
+            let plain = solve_tight(cluster(wl, sites, n), Accel::Off, damping);
+            assert!(plain.convergence.converged, "{at}");
+            assert_eq!(plain.convergence.accel_accepted, 0);
+            assert_eq!(plain.convergence.accel_rejected, 0);
+            let fast = solve_tight(cluster(wl, sites, n), Accel::Anderson, damping);
+            assert!(fast.convergence.converged, "{at}");
+            assert_reports_close(&plain, &fast, 1e-9);
         }
     }
+}
+
+/// MB8 on six sites at n = 20: the plain iteration at the default λ = 0.5
+/// is caught in a limit cycle there, while the default (Anderson) solve
+/// converges quickly and lands on the fixed point the plain iteration
+/// reaches at λ = 0.3.
+#[test]
+fn six_site_mb8_converges_under_the_defaults() {
+    let fast = Model::new(cluster(StandardWorkload::Mb8, 6, 20)).solve();
+    assert!(fast.convergence.converged, "{:?}", fast.convergence);
+    assert!(
+        fast.convergence.iterations <= 100,
+        "{} iterations",
+        fast.convergence.iterations
+    );
+    let plain = Model::with_options(
+        cluster(StandardWorkload::Mb8, 6, 20),
+        ModelOptions {
+            accel: Accel::Off,
+            damping: 0.3,
+            ..ModelOptions::default()
+        },
+    )
+    .solve();
+    assert!(plain.convergence.converged, "{:?}", plain.convergence);
+    assert_reports_close(&plain, &fast, 1e-6);
 }
 
 #[test]
@@ -146,12 +188,13 @@ fn accepted_steps_are_counted_and_logged() {
 }
 
 #[test]
-fn accel_off_is_the_default_and_changes_nothing() {
+fn anderson_is_the_default_and_model_new_uses_it() {
     let defaults = ModelOptions::default();
-    assert_eq!(defaults.accel, Accel::Off);
+    assert_eq!(defaults.accel, Accel::Anderson);
     let a = Model::new(ModelConfig::new(StandardWorkload::Ub6.spec(2), 12)).solve();
-    let b = solve_with(StandardWorkload::Ub6, 12, Accel::Off);
+    let b = solve_with(StandardWorkload::Ub6, 12, Accel::Anderson);
     assert_eq!(a, b);
+    assert!(a.convergence.accel_accepted > 0);
 }
 
 #[test]

@@ -91,18 +91,26 @@ impl MvaSolution {
 /// Reusable work buffers for [`Network::solve_exact_into`] and
 /// [`Network::solve_approx_into`].
 ///
-/// The exact recursion's dominant cost is the `lattice_size × centers`
-/// queue-length table; holding it here lets a fixed-point solver that calls
-/// MVA hundreds of times per solve run allocation-free after the first
-/// iteration.
+/// The exact recursion's dominant cost is the `lattice_size × queueing
+/// centers` queue-length table; holding it here lets a fixed-point solver
+/// that calls MVA hundreds of times per solve run allocation-free after the
+/// first iteration.
 #[derive(Debug, Clone, Default)]
 pub struct MvaScratch {
-    /// Queue lengths per population vector (exact) or per chain (approx).
+    /// Queue lengths per population vector and queueing center (exact) or
+    /// per chain and center (approx).
     q: Vec<f64>,
     /// Mixed-radix strides of the population lattice.
     stride: Vec<usize>,
-    /// Decoded population vector.
+    /// Current population vector of the lattice walk.
     pop: Vec<usize>,
+    /// Indices of the queueing centers, ascending.
+    queues: Vec<usize>,
+    /// Demands, `demand[k * centers + c]`.
+    demand: Vec<f64>,
+    /// Residence times of the current population vector,
+    /// `residence[k * centers + c]`.
+    residence: Vec<f64>,
 }
 
 impl Network {
@@ -199,11 +207,26 @@ impl Network {
         let lattice = self.lattice_size();
 
         out.reset(k_n, c_n);
-        let MvaScratch { q, stride, pop } = scratch;
+        let MvaScratch {
+            q,
+            stride,
+            pop,
+            queues,
+            demand,
+            residence,
+        } = scratch;
+        queues.clear();
+        queues.extend((0..c_n).filter(|&c| self.centers[c].kind == CenterKind::Queueing));
+        let q_n = queues.len();
+        demand.clear();
+        demand.extend(self.demands.iter().flatten());
+        residence.clear();
+        residence.resize(k_n * c_n, 0.0);
         // Mean queue length at each queueing center for every population
-        // vector, indexed by mixed-radix encoding of the vector.
+        // vector, indexed by mixed-radix encoding of the vector. Delay
+        // centers never queue, so they get no column.
         q.clear();
-        q.resize(lattice * c_n, 0.0);
+        q.resize(lattice * q_n, 0.0);
         // Strides for mixed-radix indexing: index = Σ n_k · stride_k.
         stride.clear();
         stride.resize(k_n, 0);
@@ -215,66 +238,63 @@ impl Network {
             acc *= p + 1;
         }
 
-        {
-            let x = &mut out.throughput;
-            let residence = &mut out.residence;
+        let x = &mut out.throughput;
+        // Enumerate population vectors in mixed-radix counting order (chain
+        // 0 fastest); every n − e_k precedes n, so its queue lengths are
+        // already available.
+        for idx in 1..lattice {
+            // Step the population vector like an odometer.
+            let mut k = 0;
+            while pop[k] == self.populations[k] {
+                pop[k] = 0;
+                k += 1;
+            }
+            pop[k] += 1;
 
-            // Enumerate population vectors in mixed-radix counting order;
-            // every n − e_k precedes n, so its queue lengths are already
-            // available.
-            for idx in 1..lattice.max(2) {
-                if k_n == 0 {
-                    break;
+            // Rows below `idx` are final; row `idx` starts at zero and
+            // collects Σ_k X_k · R_kc in chain order.
+            let (done, rest) = q.split_at_mut(idx * q_n);
+            let q_row = &mut rest[..q_n];
+            for k in 0..k_n {
+                if pop[k] == 0 {
+                    x[k] = 0.0;
+                    continue;
                 }
-                // Decode idx → pop.
-                let mut rem = idx;
-                for (p, &population) in pop.iter_mut().zip(&self.populations) {
-                    let radix = population + 1;
-                    *p = rem % radix;
-                    rem /= radix;
-                }
-                if idx >= lattice {
-                    break;
-                }
-
-                for k in 0..k_n {
-                    if pop[k] == 0 {
-                        x[k] = 0.0;
-                        continue;
-                    }
-                    let idx_minus = idx - stride[k];
-                    let mut total_r = 0.0;
-                    for c in 0..c_n {
-                        let d = self.demands[k][c];
-                        let r = match self.centers[c].kind {
-                            CenterKind::Delay => d,
-                            CenterKind::Queueing => d * (1.0 + q[idx_minus * c_n + c]),
-                        };
-                        residence[k][c] = r;
-                        total_r += r;
-                    }
-                    x[k] = if total_r > 0.0 {
-                        pop[k] as f64 / total_r
-                    } else {
-                        // A chain with zero total demand has infinite
-                        // throughput; represent as 0 contribution to queues
-                        // and flag with inf.
-                        f64::INFINITY
-                    };
-                }
-
+                let q_minus = &done[(idx - stride[k]) * q_n..][..q_n];
+                let d_k = &demand[k * c_n..][..c_n];
+                let r_k = &mut residence[k * c_n..][..c_n];
+                let mut total_r = 0.0;
+                let mut j = 0;
                 for c in 0..c_n {
-                    let mut qc = 0.0;
-                    for k in 0..k_n {
-                        if pop[k] > 0 && x[k].is_finite() {
-                            qc += x[k] * residence[k][c];
-                        }
+                    let r = if queues.get(j) == Some(&c) {
+                        let r = d_k[c] * (1.0 + q_minus[j]);
+                        j += 1;
+                        r
+                    } else {
+                        d_k[c]
+                    };
+                    r_k[c] = r;
+                    total_r += r;
+                }
+                x[k] = if total_r > 0.0 {
+                    pop[k] as f64 / total_r
+                } else {
+                    // A chain with zero total demand has infinite
+                    // throughput; represent as 0 contribution to queues
+                    // and flag with inf.
+                    f64::INFINITY
+                };
+                if x[k].is_finite() {
+                    for (qc, &c) in q_row.iter_mut().zip(queues.iter()) {
+                        *qc += x[k] * r_k[c];
                     }
-                    q[idx * c_n + c] = qc;
                 }
             }
         }
 
+        for (k, r_out) in out.residence.iter_mut().enumerate() {
+            r_out.copy_from_slice(&residence[k * c_n..][..c_n]);
+        }
         self.finalize_solution(out);
     }
 
