@@ -31,6 +31,10 @@ echo "== metrics overhead gate"
 # The metrics recorder may add at most 75% to the reference sim sweep's
 # wall time (metrics off vs on, best of 5 each, one process).
 cargo run --release -p carat-bench --bin exp_bench -- --check-metrics-overhead
+echo "== site-LP sequential schedule gate"
+# On one thread the site-LP driver may take at most 1.5x the monolithic
+# loop's wall time on the cross-site scenario (best of 5 each, one process).
+cargo run --release -p carat-bench --bin exp_bench -- --check-lp-sequential
 echo "== sim determinism gate"
 cargo run --release -p carat-bench --bin exp_bench -- --emit-sim --threads 4 --out "${TMPDIR:-/tmp}/sim_par.json"
 cargo run --release -p carat-bench --bin exp_bench -- --emit-sim --sequential --out "${TMPDIR:-/tmp}/sim_seq.json"

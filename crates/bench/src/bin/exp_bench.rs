@@ -36,7 +36,12 @@
 //! * **check-metrics-overhead** (`--check-metrics-overhead`): metrics
 //!   on/off ratio gate — times the reference sim sweep with the recorder
 //!   off and on (best of [`REPS`] each, in one process) and fails if the
-//!   recorder adds more than [`METRICS_OVERHEAD_LIMIT_PCT`] percent.
+//!   recorder adds more than [`METRICS_OVERHEAD_LIMIT_PCT`] percent;
+//! * **check-lp-sequential** (`--check-lp-sequential`): site-LP vs
+//!   monolithic ratio gate — times the cross-site scenario on the site-LP
+//!   driver at one shard and on the monolithic loop (best of [`REPS`]
+//!   alternating runs each, in one process) and fails if the LP run takes
+//!   more than [`LP_SEQUENTIAL_LIMIT`] times the monolithic one.
 //!
 //! Wall-clock numbers vary run to run; the JSON *result rows* may not.
 
@@ -384,6 +389,60 @@ fn check_metrics_overhead() {
     println!("check-metrics-overhead: {overhead_pct:.1}% <= {METRICS_OVERHEAD_LIMIT_PCT}%: OK");
 }
 
+/// Ceiling of the `--check-lp-sequential` gate: the site-LP driver on one
+/// thread may take at most this multiple of the monolithic loop's wall
+/// time on the cross-site scenario.
+const LP_SEQUENTIAL_LIMIT: f64 = 1.5;
+
+/// Crash instant of the never-firing crash that pins a configuration to
+/// the monolithic loop (any crash makes it ineligible for the site LPs).
+const NEVER_MS: f64 = 99_999_000.0;
+
+/// The `--check-lp-sequential` gate (see module docs). Runs the
+/// cross-site scenario on the site-LP driver at one shard and on the
+/// monolithic loop, best of [`REPS`] alternating runs each after one
+/// untimed run, and exits non-zero when the LP/monolithic wall-time ratio
+/// exceeds [`LP_SEQUENTIAL_LIMIT`]. The two engines seed differently, so
+/// only their times are compared.
+fn check_lp_sequential() {
+    let lp_cfg = xsite_scenario(1);
+    let mut mono_cfg = lp_cfg.clone();
+    mono_cfg.crashes = vec![(NEVER_MS, 0)];
+    assert!(
+        carat::sim::shard::coupled_eligible(&lp_cfg)
+            && !carat::sim::shard::coupled_eligible(&mono_cfg),
+        "the gate must compare the site-LP driver with the monolithic loop"
+    );
+    let time_ms = |cfg: &SimConfig| {
+        let t0 = Instant::now();
+        let report = Sim::new(cfg.clone()).expect("valid xsite scenario").run();
+        assert!(report.events > 0, "the run did real work");
+        t0.elapsed().as_secs_f64() * 1000.0
+    };
+    // One untimed run each, then alternate so host load drifts hit both.
+    time_ms(&lp_cfg);
+    time_ms(&mono_cfg);
+    let (mut lp_ms, mut mono_ms) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..REPS {
+        lp_ms = lp_ms.min(time_ms(&lp_cfg));
+        mono_ms = mono_ms.min(time_ms(&mono_cfg));
+    }
+    let ratio = lp_ms / mono_ms;
+    println!(
+        "## Site-LP sequential schedule (MB4 x {XSITE_SITES} sites, alpha={XSITE_ALPHA_MS} ms, \
+         best of {REPS})\n  site-LP shards=1 {lp_ms:9.2} ms   monolithic {mono_ms:9.2} ms   \
+         ratio {ratio:.2}"
+    );
+    if ratio > LP_SEQUENTIAL_LIMIT {
+        eprintln!(
+            "SITE-LP SEQUENTIAL REGRESSION {ratio:.2}x \
+             (> {LP_SEQUENTIAL_LIMIT}x the monolithic wall time)"
+        );
+        std::process::exit(1);
+    }
+    println!("check-lp-sequential: {ratio:.2}x <= {LP_SEQUENTIAL_LIMIT}x: OK");
+}
+
 /// Recorded cold iteration counts of the committed `BENCH_sweep.json`, in
 /// workload-then-n grid order. The `--check-iters` gate fails when any
 /// point regresses past +10% of its entry here.
@@ -644,6 +703,10 @@ fn main() {
     }
     if args.iter().any(|a| a == "--check-metrics-overhead") {
         check_metrics_overhead();
+        return;
+    }
+    if args.iter().any(|a| a == "--check-lp-sequential") {
+        check_lp_sequential();
         return;
     }
     if args.iter().any(|a| a == "--emit-sim") {

@@ -277,8 +277,11 @@ fn write_metrics(path: &str, metrics: &MetricsRecorder) {
 /// The end-of-run metrics monitor, on stderr so stdout stays
 /// byte-identical to a metrics-free run (the CI neutrality gate compares
 /// it): per-metric aggregates with a sparkline of the run's shape, and —
-/// when the sharded engines actually ran — the wall-clock busy/stall
-/// split of the conservative protocol for this run alone.
+/// when the site-LP driver actually ran — a `shards:` line with the
+/// wall-clock busy/stall split of the conservative protocol for this run
+/// alone. Its null advances and messages count traffic between worker
+/// threads only (LPs of one thread share one sequential schedule), so
+/// both read 0 at `--shards 1`.
 fn print_metrics_summary(spec: &RunSpec, metrics: &MetricsRecorder, shard: &ShardStatsSnapshot) {
     let cadence = spec.metrics_ms.unwrap_or_default();
     eprintln!(
@@ -303,7 +306,7 @@ fn print_metrics_summary(spec: &RunSpec, metrics: &MetricsRecorder, shard: &Shar
         let stall_pct = 100.0 * stall_ms / (busy_ms + stall_ms);
         eprintln!(
             "  shards: busy {busy_ms:.1} ms, stalled {stall_ms:.1} ms ({stall_pct:.0}% of \
-             wall) | {} null advances / {} cross-shard messages (ratio {:.2})",
+             wall) | {} null advances / {} cross-thread messages (ratio {:.2})",
             shard.null_advances,
             shard.messages,
             shard.null_message_ratio()

@@ -118,16 +118,14 @@ impl<M> ShardChannel<M> {
         self.queue.front().map(|&(t, _, _)| t)
     }
 
-    /// Removes and returns every message with `time < horizon`, in
-    /// `(time, sequence)` order. Messages at or past the horizon stay
+    /// Removes every message with `time < horizon` and hands it to `sink`
+    /// in `(time, sequence)` order. Messages at or past the horizon stay
     /// queued: the sender's clock has not yet guaranteed their finality.
-    pub fn drain_until(&mut self, horizon: Time) -> Vec<(Time, M)> {
-        let n = self
-            .queue
-            .iter()
-            .take_while(|&&(t, _, _)| t < horizon)
-            .count();
-        self.queue.drain(..n).map(|(t, _, m)| (t, m)).collect()
+    pub fn drain_into(&mut self, horizon: Time, mut sink: impl FnMut(Time, M)) {
+        while self.queue.front().is_some_and(|&(t, _, _)| t < horizon) {
+            let (t, _, msg) = self.queue.pop_front().expect("peeked");
+            sink(t, msg);
+        }
     }
 
     /// Number of undelivered messages.
@@ -143,12 +141,12 @@ impl<M> ShardChannel<M> {
 
 /// Per-shard simulation clocks plus the conservative safe-horizon rule.
 ///
-/// Shard `s` may freely process local events up to
-/// `safe_horizon(s) = min over peers p of clock(p) + lookahead`: no peer
-/// can still emit a cross-shard message arriving earlier, because any
-/// message sent at a peer's current clock arrives at least `lookahead`
-/// later. With a single shard (or zero lookahead and no peers) the
-/// horizon is unbounded.
+/// A block of shards may freely process local events up to
+/// `block_horizon(block) = min over shards p outside the block of
+/// clock(p) + lookahead`: no outside shard can still emit a message
+/// arriving earlier, because any message sent at its current clock
+/// arrives at least `lookahead` later. A block that holds every shard
+/// has no outside peers, so its horizon is unbounded.
 #[derive(Debug, Clone)]
 pub struct HorizonClock {
     clocks: Vec<Time>,
@@ -189,17 +187,14 @@ impl HorizonClock {
         }
     }
 
-    /// The conservative safe horizon of shard `s`: it may process local
-    /// events strictly below this time without waiting on any peer.
-    pub fn safe_horizon(&self, shard: usize) -> Time {
-        let min_peer = self
-            .clocks
+    /// The conservative safe horizon of the shards in `block`: nothing
+    /// from a shard outside it can arrive strictly below this time. One
+    /// shard's own horizon is `block_horizon(s..s + 1)`.
+    pub fn block_horizon(&self, block: std::ops::Range<usize>) -> Time {
+        let outside = self.clocks[..block.start]
             .iter()
-            .enumerate()
-            .filter(|&(p, _)| p != shard)
-            .map(|(_, &c)| c)
-            .fold(Time::INFINITY, Time::min);
-        min_peer + self.lookahead
+            .chain(&self.clocks[block.end..]);
+        outside.copied().fold(Time::INFINITY, Time::min) + self.lookahead
     }
 }
 
@@ -240,12 +235,17 @@ mod tests {
         ch.send(2.0, "b2");
         ch.send(5.0, "c");
         assert_eq!(ch.next_time(), Some(1.0));
+        let drain = |ch: &mut ShardChannel<&'static str>, h: Time| {
+            let mut out = Vec::new();
+            ch.drain_into(h, |t, m| out.push((t, m)));
+            out
+        };
         // Horizon 2.0 releases only t < 2.0.
-        assert_eq!(ch.drain_until(2.0), vec![(1.0, "a")]);
+        assert_eq!(drain(&mut ch, 2.0), vec![(1.0, "a")]);
         // Ties deliver in send order.
-        assert_eq!(ch.drain_until(4.0), vec![(2.0, "b1"), (2.0, "b2")]);
+        assert_eq!(drain(&mut ch, 4.0), vec![(2.0, "b1"), (2.0, "b2")]);
         assert_eq!(ch.len(), 1);
-        assert_eq!(ch.drain_until(f64::INFINITY), vec![(5.0, "c")]);
+        assert_eq!(drain(&mut ch, f64::INFINITY), vec![(5.0, "c")]);
         assert!(ch.is_empty());
     }
 
@@ -255,14 +255,36 @@ mod tests {
         hc.advance(0, 10.0);
         hc.advance(1, 7.0);
         hc.advance(2, 20.0);
-        assert_eq!(hc.safe_horizon(0), 7.0 + 4.0);
-        assert_eq!(hc.safe_horizon(1), 10.0 + 4.0);
-        assert_eq!(hc.safe_horizon(2), 7.0 + 4.0);
+        assert_eq!(hc.block_horizon(0..1), 7.0 + 4.0);
+        assert_eq!(hc.block_horizon(1..2), 10.0 + 4.0);
+        assert_eq!(hc.block_horizon(2..3), 7.0 + 4.0);
         // Clocks never rewind.
         hc.advance(1, 3.0);
         assert_eq!(hc.clock(1), 7.0);
         // A single shard has no peers: unbounded horizon.
-        assert_eq!(HorizonClock::new(1, 0.0).safe_horizon(0), f64::INFINITY);
+        assert_eq!(HorizonClock::new(1, 0.0).block_horizon(0..1), f64::INFINITY);
+    }
+
+    #[test]
+    fn block_horizon_ignores_clocks_inside_the_block() {
+        let mut hc = HorizonClock::new(5, 2.0);
+        for (s, c) in [3.0, 1.0, 9.0, 6.0, 4.0].into_iter().enumerate() {
+            hc.advance(s, c);
+        }
+        // The block's own clocks (even the global minimum) never bound it.
+        assert_eq!(hc.block_horizon(0..2), 4.0 + 2.0);
+        assert_eq!(hc.block_horizon(1..4), 3.0 + 2.0);
+        assert_eq!(hc.block_horizon(3..5), 1.0 + 2.0);
+        // Blocks at either end read only one side of the board.
+        assert_eq!(hc.block_horizon(0..4), 4.0 + 2.0);
+        assert_eq!(hc.block_horizon(1..5), 3.0 + 2.0);
+        // A block holding every shard has nothing outside it.
+        assert_eq!(hc.block_horizon(0..5), f64::INFINITY);
+        // Infinite lookahead (nothing ever crosses) stays unbounded.
+        assert_eq!(
+            HorizonClock::new(3, f64::INFINITY).block_horizon(0..1),
+            f64::INFINITY
+        );
     }
 
     /// Two shards exchanging timestamped messages under the conservative
@@ -302,7 +324,7 @@ mod tests {
         loop {
             let mut progressed = false;
             for s in 0..2 {
-                let horizon = clocks.safe_horizon(s);
+                let horizon = clocks.block_horizon(s..s + 1);
                 // Local events strictly below the horizon are safe.
                 while let Some(&(t, sends)) = plans[s].get(cursor[s]) {
                     if t >= horizon {
@@ -325,10 +347,10 @@ mod tests {
                     clocks.advance(s, promise);
                     progressed = true;
                 }
-                for (t, (to, n)) in inbox[s].drain_until(clocks.safe_horizon(s)) {
+                inbox[s].drain_into(clocks.block_horizon(s..s + 1), |t, (to, n)| {
                     delivered.push((t, to, n));
                     progressed = true;
-                }
+                });
             }
             if !progressed {
                 break;
@@ -429,7 +451,7 @@ mod tests {
                 );
                 let mut progressed = false;
                 for s in 0..shards {
-                    let horizon = clocks.safe_horizon(s);
+                    let horizon = clocks.block_horizon(s..s + 1);
                     while let Some(&(t, to)) = plans[s].get(cursor[s]) {
                         if t >= horizon {
                             break;
@@ -448,12 +470,12 @@ mod tests {
                         clocks.advance(s, promise);
                         progressed = true;
                     }
-                    let h = clocks.safe_horizon(s);
+                    let h = clocks.block_horizon(s..s + 1);
                     for chan in &mut inbox[s] {
-                        for (t, (sender, n)) in chan.drain_until(h) {
+                        chan.drain_into(h, |t, (sender, n)| {
                             delivered.push((t, s, sender, n));
                             progressed = true;
-                        }
+                        });
                     }
                 }
                 if !progressed {

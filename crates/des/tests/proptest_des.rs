@@ -147,9 +147,9 @@ proptest! {
 /// `n` logical processes each hold a sorted calendar of local events;
 /// processing anything (a local event at `t`, or a delivered message with
 /// remaining hops) sends one message to the next LP around the ring at
-/// `t + lookahead`. LPs advance *only* through `safe_horizon` — no global
-/// knowledge — and publish the conservative promise
-/// `min(next local event, own safe horizon)`. Returns the number of full
+/// `t + lookahead`. LPs advance *only* through their own safe horizon
+/// `block_horizon(i..i + 1)` — no global knowledge — and publish the
+/// conservative promise `min(next local event, own safe horizon)`. Returns the number of full
 /// sweeps and the number of delivered messages.
 fn conservative_ring(
     locals: &[Vec<f64>],
@@ -175,7 +175,7 @@ fn conservative_ring(
         }
         sweeps += 1;
         for &i in sweep_order {
-            let h = clock.safe_horizon(i);
+            let h = clock.block_horizon(i..i + 1);
             // Work below the horizon: drained deliveries plus local
             // events, merged by time so per-channel sends stay
             // nondecreasing.
@@ -184,13 +184,13 @@ fn conservative_ring(
                 if from == i {
                     continue;
                 }
-                for (t, hops) in channels[from * n + i].drain_until(h) {
+                channels[from * n + i].drain_into(h, |t, hops| {
                     delivered += 1;
                     assert!(t < h, "a delivery past the safe horizon");
                     if hops > 0 {
                         work.push((t, hops - 1));
                     }
-                }
+                });
             }
             while pending[i].front().is_some_and(|&t| t < h) {
                 let t = pending[i].pop_front().expect("peeked");

@@ -11,6 +11,12 @@
 //! publication) counts, cross-shard message volume, and silent
 //! monolithic fallbacks.
 //!
+//! The site-LP driver runs each worker thread's LPs as one sequential
+//! schedule and hands messages between them straight to the receiver, so
+//! `messages` and `null_advances` count only traffic *between worker
+//! threads*: both read 0 for a `--shards 1` run, whatever the cross-site
+//! traffic inside it (`SimReport::net_messages` counts that).
+//!
 //! Relaxed ordering is deliberate: these are statistical counters with no
 //! cross-thread happens-before obligations, and the snapshot is only read
 //! after the worker threads have been joined.
@@ -23,23 +29,26 @@ static NULL_ADVANCES: AtomicU64 = AtomicU64::new(0);
 static MESSAGES: AtomicU64 = AtomicU64::new(0);
 static FALLBACKS: AtomicU64 = AtomicU64::new(0);
 
-/// Wall-clock nanoseconds shards spent executing events.
+/// Wall-clock nanoseconds of worker-thread rounds that executed events.
 pub fn add_busy_ns(ns: u64) {
     BUSY_NS.fetch_add(ns, Relaxed);
 }
 
-/// Wall-clock nanoseconds shards spent blocked on peers' horizons.
+/// Wall-clock nanoseconds of worker-thread rounds that executed nothing,
+/// blocked on other threads' horizons.
 pub fn add_stall_ns(ns: u64) {
     STALL_NS.fetch_add(ns, Relaxed);
 }
 
-/// Demand-driven null messages: clock publications that carried no event,
-/// only a promise (the CMB deadlock-avoidance step).
+/// Demand-driven null messages: a worker thread's eventless round whose
+/// published promise still opened other threads' horizons (the CMB
+/// deadlock-avoidance step). Zero with one worker thread.
 pub fn add_null_advances(n: u64) {
     NULL_ADVANCES.fetch_add(n, Relaxed);
 }
 
-/// Cross-shard simulation messages routed through `ShardChannel`s.
+/// Simulation messages between worker threads, routed through
+/// `ShardChannel`s (messages between LPs of one thread are not counted).
 pub fn add_messages(n: u64) {
     MESSAGES.fetch_add(n, Relaxed);
 }
@@ -54,20 +63,20 @@ pub fn note_fallback() {
 /// A point-in-time copy of the shard telemetry counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardStatsSnapshot {
-    /// Nanoseconds spent executing events across all shard threads.
+    /// Nanoseconds of rounds that executed events, across all threads.
     pub busy_ns: u64,
-    /// Nanoseconds spent waiting for peer horizons to open.
+    /// Nanoseconds of eventless rounds spent waiting for other threads.
     pub stall_ns: u64,
-    /// Demand-driven null messages (eventless clock publications).
+    /// Demand-driven null messages (eventless publishing rounds).
     pub null_advances: u64,
-    /// Cross-shard messages exchanged.
+    /// Messages exchanged between worker threads.
     pub messages: u64,
     /// Monolithic fallbacks despite `shards > 1`.
     pub fallbacks: u64,
 }
 
 impl ShardStatsSnapshot {
-    /// Null messages per cross-shard payload message — the overhead ratio
+    /// Null messages per cross-thread payload message — the overhead ratio
     /// of the conservative protocol. Zero when no messages flowed.
     pub fn null_message_ratio(&self) -> f64 {
         if self.messages == 0 {

@@ -7,32 +7,38 @@
 //! Each LP is a `Sim` against the full topology that executes only its
 //! own site's events: peer node states stay inert, and every cross-site
 //! interaction — a transaction's `Op::Net` hop, a Chandy–Misra–Haas
-//! probe, a remote DM release — travels as a timestamped `XMsg` through a
-//! [`ShardChannel`]. Every cross-site effect takes exactly one network
-//! delay, so α is a hard lookahead: an LP whose published clock reads `c`
-//! cannot emit anything timestamped below `c + α`, and each LP may safely
-//! process events strictly below its [`HorizonClock::safe_horizon`]
-//! (min peer clock + lookahead).
+//! probe, a remote DM release — travels as a timestamped `XMsg` to the
+//! receiving LP. Every cross-site effect takes exactly one network delay,
+//! so α is an exact lookahead: an LP whose next event is at `t` cannot
+//! deliver anything to a peer before `t + α`.
+//!
+//! Each worker thread owns a contiguous block of LPs and runs it as one
+//! *sequential schedule*: it repeatedly steps its live LP with the
+//! earliest next event up to that LP's exact horizon
+//! `min(external horizon, next_j + α over the block's other LPs j,
+//! own next + 2α)`, and hands messages between its own LPs straight to
+//! the receiver's inbox. Only sites owned by *other* threads go through
+//! the clock board ([`HorizonClock::block_horizon`]) and the
+//! [`ShardChannel`]s; the thread publishes one promise per round,
+//! `min(next event, external horizon)` for each of its sites, and
+//! re-publishing after an eventless round is the demand-driven *null
+//! message* (counted in `carat_obs::shardstats`, never in the report).
+//! With `--shards 1` one block holds every LP: there is no external
+//! horizon, so the run takes no lock and sends no null message.
 //!
 //! A configuration is *site-separable* ([`decomposable`]) when no event at
 //! one site can ever influence another: every user is local-only, and
 //! there are no crashes, faults, partitions, or replication. No message
-//! can then cross sites, so the lookahead is `+∞`: every LP's horizon is
-//! unbounded, it runs to the end of the window in one step, and no null
-//! message is ever sent. Site-separable and cross-site runs share one
-//! driver, one merge (`absorb` + [`Tracer::merge_ordered`] /
+//! can then cross sites, so the lookahead is `+∞`: every horizon is
+//! unbounded and each LP runs to the end of the window in one step.
+//! Site-separable and cross-site runs share one driver, one merge
+//! (`absorb` + [`Tracer::merge_ordered`] /
 //! [`MetricsRecorder::merge_ordered`]) and one budget-trip rule.
 //!
-//! The published clock is the Chandy–Misra–Bryant promise
-//! `min(next unprocessed event, own safe horizon)`; re-publishing after
-//! an eventless round is the demand-driven *null message* that keeps
-//! peers' horizons opening (counted in `carat_obs::shardstats`, never in
-//! the report). Progress is deadlock-free: the LP holding the global
-//! minimum clock always sees `next < horizon`, so every sweep of the LPs
-//! advances the global minimum by at least α. An LP retires — publishing
-//! `+∞` — once `min(next, horizon) > warmup + measure`, or when its event
-//! budget trips (its already-emitted messages are still delivered, so the
-//! trip point is schedule-independent).
+//! An LP retires — its site's journal is released — as soon as
+//! `min(next, horizon) > warmup + measure`, or when its event budget trips
+//! (its already-emitted messages are still delivered, so the trip point is
+//! schedule-independent). A stopped LP promises `+∞`.
 //!
 //! Crashes, faults, partitions, and replication force the monolithic
 //! loop: their cross-site effects (instant failover, zero-delay timeout
@@ -44,16 +50,26 @@
 //!
 //! Which engine runs — the site-LP driver or the monolithic loop — and the
 //! LP lookahead are functions of the configuration *excluding* `shards`.
-//! An LP's merged stream (local calendar ∪ inbox, inbox first on
-//! timestamp ties, inbox ordered by `(time, sender, per-sender seq)`) is a
-//! pure function of the configuration, because a message not yet visible
-//! when an LP computes horizon `H` is guaranteed to carry a timestamp
-//! ≥ H; every LP is seeded by a pure function of `(seed, site)`, and the
-//! merge folds LPs in site order. The shard count only chooses how many
-//! worker threads sweep the (fixed) LPs — including `--shards 1`, which
-//! runs the identical algorithm on one thread — so the report, trace and
-//! metrics are byte-identical for every `shards` value, which the CI
-//! shard-determinism gates enforce.
+//! Every LP is seeded by a pure function of `(seed, site)`, and its merged
+//! stream — local calendar ∪ inbox, inbox first on timestamp ties, the
+//! inbox ordered by `(time, sender, per-sender seq)` — is therefore fixed
+//! by the configuration, *provided* no message reaches an LP after it
+//! processed an event at or past the message's timestamp. Any schedule
+//! that respects that causality rule reproduces every stream, and with it
+//! every byte, because the merge folds LPs in site order.
+//!
+//! The horizons are what make each schedule causal. Between threads, a
+//! message not yet visible when a thread reads external horizon `H`
+//! carries a timestamp ≥ `H` (senders flush channels before publishing).
+//! Within a block, the LP being stepped is bounded by `next_j + α` for
+//! every other LP `j`, which covers everything `j` can still send it, and
+//! by its own `next + 2α`: a message it sends during the step reaches a
+//! peer no earlier than `next + α`, and the reply comes back no earlier
+//! than `next + 2α`. Longer relay chains only arrive later. So the shard
+//! count only chooses how the fixed LPs are grouped into schedules — one
+//! for `--shards 1` — and the report, trace and metrics are byte-identical
+//! for every `shards` value, which the CI shard-determinism gates and the
+//! `tests/fixtures/lp_golden.txt` fingerprints enforce.
 //!
 //! Merge semantics (DESIGN.md §14.2): `absorb` swaps each LP's real node
 //! state into LP 0 and pools its statistics, and a single wind-down
@@ -180,11 +196,12 @@ pub(crate) type RunOutput = (SimReport, Option<Tracer>, Option<MetricsRecorder>)
 type LpOutcome = (usize, Sim, Option<Time>);
 
 /// Runs a site-separable or coupled-eligible configuration as one logical
-/// process per site, synchronized conservatively through [`HorizonClock`]
-/// / [`ShardChannel`] with lookahead α (`+∞` when site-separable), on
-/// `cfg.shards` worker threads (clamped to the site count). The caller
-/// (`Sim::run_checked_instrumented`) has already validated `cfg` and
-/// checked [`decomposable`] or [`coupled_eligible`].
+/// process per site with lookahead α (`+∞` when site-separable), on
+/// `cfg.shards` worker threads (clamped to the site count), synchronized
+/// conservatively between threads through [`HorizonClock`] /
+/// [`ShardChannel`]. The caller (`Sim::run_checked_instrumented`) has
+/// already validated `cfg` and checked [`decomposable`] or
+/// [`coupled_eligible`].
 pub(crate) fn run_coupled(cfg: SimConfig) -> Result<RunOutput, SimError> {
     let sites = cfg.params.sites();
     let shards = cfg.shards.min(sites).max(1);
@@ -210,23 +227,24 @@ pub(crate) fn run_coupled(cfg: SimConfig) -> Result<RunOutput, SimError> {
         })
         .collect();
 
-    // The shared synchronization state: the clock board (one published
-    // promise per LP) and one FIFO channel per ordered (from, to) pair.
-    // Both are mutex-guarded; the locks also provide the happens-before
-    // edges the completeness argument in the module docs relies on (a
-    // sender flushes its channel entries *before* publishing the clock
-    // that makes them drainable).
+    // The synchronization state between worker threads: the clock board
+    // (one published promise per LP) and one FIFO channel per ordered
+    // (from, to) pair. Both are mutex-guarded; the locks also provide the
+    // happens-before edges the completeness argument in the module docs
+    // relies on (a sender flushes its channel entries *before* publishing
+    // the clock that makes them drainable). A block that owns every site
+    // (`shards == 1`) never touches either.
     let clock = Mutex::new(HorizonClock::new(sites, alpha));
     let channels: Vec<Mutex<ShardChannel<XMsg>>> = (0..sites * sites)
         .map(|_| Mutex::new(ShardChannel::new()))
         .collect();
 
     let mut outcomes: Vec<LpOutcome> = if shards == 1 {
-        run_lp_block(lps, &clock, &channels, sites, end)
+        run_lp_block(lps, &clock, &channels, sites, alpha, end)
     } else {
         // Balanced contiguous blocks, one worker thread each; every
-        // thread sweeps its own LPs round-robin against the shared
-        // clock board.
+        // thread runs its own LPs as one sequential schedule and meets
+        // the others only at the clock board and the channels.
         let map = SiteShardMap::contiguous(sites, shards);
         let mut blocks: Vec<Vec<(usize, Sim)>> = Vec::with_capacity(shards);
         let mut it = lps.drain(..);
@@ -239,7 +257,7 @@ pub(crate) fn run_coupled(cfg: SimConfig) -> Result<RunOutput, SimError> {
                 .into_iter()
                 .map(|block| {
                     let (clock, channels) = (&clock, &channels);
-                    scope.spawn(move || run_lp_block(block, clock, channels, sites, end))
+                    scope.spawn(move || run_lp_block(block, clock, channels, sites, alpha, end))
                 })
                 .collect();
             handles
@@ -308,99 +326,161 @@ pub(crate) fn run_coupled(cfg: SimConfig) -> Result<RunOutput, SimError> {
     Ok((report, tracer, metrics))
 }
 
-/// Sweeps one worker thread's LPs until all have retired. Each round per
-/// live LP: read the safe horizon, drain inbound channels below it (in
-/// sender order), run the merged stream up to the horizon, flush the
-/// outbox, publish the new clock promise. Wall-clock busy/stall time,
-/// null advances, and message counts go to the process-global
-/// `shardstats` registry — never into the `Sim`s.
+/// Runs one worker thread's block of LPs (a contiguous site range) until
+/// all have retired, in rounds. Each round reads the external horizon —
+/// how far the sites owned by *other* threads let this block run — once
+/// from the clock board, drains their channels below it, and then runs
+/// the block as one sequential schedule: always step the live LP with the
+/// earliest next event, up to its exact horizon ([`block_step_horizon`]),
+/// delivering messages between this block's LPs straight into the
+/// receiver's inbox. The round ends when every live LP's next event is at
+/// or past the external horizon; the block then publishes
+/// `min(next, external horizon)` for each of its sites. A block that owns
+/// every site (`--shards 1`) has no external horizon: it runs in one round
+/// and touches neither the clock board nor a channel.
+///
+/// Wall-clock busy/stall time, null advances and cross-thread message
+/// counts go to the process-global `shardstats` registry — never into the
+/// `Sim`s.
 fn run_lp_block(
     block: Vec<(usize, Sim)>,
     clock: &Mutex<HorizonClock>,
     channels: &[Mutex<ShardChannel<XMsg>>],
     sites: usize,
+    alpha: Time,
     end: Time,
 ) -> Vec<LpOutcome> {
     let mut lps = block;
     let n = lps.len();
-    let mut retired = vec![false; n];
+    let own = lps[0].0..lps[0].0 + n;
+    let external = n < sites;
+    let mut live = vec![true; n];
     let mut trips: Vec<Option<Time>> = vec![None; n];
+    // Next event time per LP (+∞ once it stopped): exact, because an LP's
+    // next event moves only when it steps or ingests a message.
+    let mut nexts: Vec<Time> = lps.iter().map(|(_, lp)| lp.lp_next_time()).collect();
+    let mut outbox: Vec<(usize, Time, XMsg)> = Vec::new();
     let (mut busy_ns, mut stall_ns) = (0u64, 0u64);
     let (mut nulls, mut msgs) = (0u64, 0u64);
     // Progress guard: if the *global* minimum clock stops advancing for a
-    // long stretch of fruitless sweeps, the protocol is wedged (which the
+    // long stretch of fruitless rounds, the protocol is wedged (which the
     // lookahead argument proves impossible) — fail loudly instead of
     // spinning forever.
     let mut last_min = -1.0f64;
     let mut stuck_since: Option<Instant> = None;
 
-    while retired.iter().any(|r| !r) {
+    while live.contains(&true) {
+        let round_start = Instant::now();
         let mut progressed = false;
-        for i in 0..n {
-            if retired[i] {
-                continue;
-            }
-            let site = lps[i].0;
-            let lp = &mut lps[i].1;
-            let round_start = Instant::now();
-            let horizon = clock.lock().expect("clock lock").safe_horizon(site);
-            for from in 0..sites {
-                if from == site {
+        let ext_horizon = if external {
+            let h = clock.lock().expect("clock lock").block_horizon(own.clone());
+            for (i, (site, lp)) in lps.iter_mut().enumerate() {
+                if !live[i] {
                     continue;
                 }
-                let arrived = channels[from * sites + site]
-                    .lock()
-                    .expect("channel lock")
-                    .drain_until(horizon);
-                for (t, msg) in arrived {
-                    lp.lp_ingest(from, t, msg);
+                for from in (0..sites).filter(|f| !own.contains(f)) {
+                    channels[from * sites + *site]
+                        .lock()
+                        .expect("channel lock")
+                        .drain_into(h, |t, msg| {
+                            lp.lp_ingest(from, t, msg);
+                            nexts[i] = nexts[i].min(t);
+                            progressed = true;
+                        });
                 }
             }
-            let before = lp.lp_events();
-            let trip = lp.lp_step_until(horizon, end);
-            let stepped = lp.lp_events() - before;
-            // Flush even on a trip: everything emitted before the budget
-            // ran out must still reach its peers, or their streams would
-            // depend on *when* the trip was noticed.
-            lp.lp_drain_outbox(|to, t, msg| {
-                channels[site * sites + to]
-                    .lock()
-                    .expect("channel lock")
-                    .send(t, msg);
-                msgs += 1;
-            });
-            let promise = if let Some(t) = trip {
-                trips[i] = Some(t);
-                retired[i] = true;
-                f64::INFINITY
-            } else if lp.lp_next_time().min(horizon) > end {
-                // Retirement makes every boundary <= end final: unseen
-                // messages carry timestamps >= horizon > end.
-                lp.lp_retire(end);
-                retired[i] = true;
-                f64::INFINITY
-            } else {
-                lp.lp_next_time().min(horizon)
-            };
-            {
-                let mut board = clock.lock().expect("clock lock");
-                if promise > board.clock(site) {
-                    progressed = true;
-                    if stepped == 0 && !retired[i] {
-                        // An eventless promise that still opened peers'
-                        // horizons: the demand-driven null message.
-                        nulls += 1;
+            h
+        } else {
+            f64::INFINITY
+        };
+
+        let mut stepped = false;
+        // The sequential schedule. Every LP is judged against the exact
+        // horizon of the block as it stands; the earliest live LP can
+        // always step unless its next event is at or past the external
+        // horizon, so the loop ends only then (or when all retired).
+        while let Some(i) = (0..n)
+            .filter(|&i| live[i])
+            .min_by(|&a, &b| nexts[a].total_cmp(&nexts[b]))
+        {
+            let h = block_step_horizon(&nexts, i, alpha, ext_horizon);
+            if nexts[i].min(h) <= end {
+                if nexts[i] >= h {
+                    break;
+                }
+                let (site, lp) = &mut lps[i];
+                let before = lp.lp_events();
+                let trip = lp.lp_step_until(h, end);
+                stepped |= lp.lp_events() > before;
+                // Flush even on a trip: everything emitted before the
+                // budget ran out must still reach its peers, or their
+                // streams would depend on *when* the trip was noticed.
+                lp.lp_drain_outbox(|to, t, msg| outbox.push((to, t, msg)));
+                nexts[i] = lp.lp_next_time();
+                let from = *site;
+                for (to, t, msg) in outbox.drain(..) {
+                    if own.contains(&to) {
+                        let j = to - own.start;
+                        // A stopped LP never runs again: drop its mail.
+                        if live[j] {
+                            lps[j].1.lp_ingest(from, t, msg);
+                            nexts[j] = nexts[j].min(t);
+                        }
+                    } else {
+                        channels[from * sites + to]
+                            .lock()
+                            .expect("channel lock")
+                            .send(t, msg);
+                        msgs += 1;
                     }
                 }
-                board.advance(site, promise);
+                if let Some(t) = trip {
+                    trips[i] = Some(t);
+                    live[i] = false;
+                    nexts[i] = f64::INFINITY;
+                    continue;
+                }
+                // Retire as soon as the LP is done, not at the end of the
+                // round: retirement releases the site's journal.
+                if nexts[i] <= end || block_step_horizon(&nexts, i, alpha, ext_horizon) <= end {
+                    continue;
+                }
             }
-            let spent = round_start.elapsed().as_nanos() as u64;
-            if stepped > 0 {
-                progressed = true;
-                busy_ns += spent;
-            } else {
-                stall_ns += spent;
+            // Here `min(next, horizon) > end` — for the earliest LP, or for
+            // the one just stepped: every boundary <= end is final, since
+            // anything still to come here is timestamped past `end`.
+            lps[i].1.lp_retire(end);
+            live[i] = false;
+            nexts[i] = f64::INFINITY;
+            progressed = true;
+        }
+
+        if external {
+            let mut board = clock.lock().expect("clock lock");
+            let mut opened = false;
+            for (i, (site, _)) in lps.iter().enumerate() {
+                // A stopped LP never sends again: it promises +∞.
+                let promise = if live[i] {
+                    nexts[i].min(ext_horizon)
+                } else {
+                    f64::INFINITY
+                };
+                opened |= promise > board.clock(*site);
+                board.advance(*site, promise);
             }
+            progressed |= opened;
+            if opened && !stepped && live.contains(&true) {
+                // An eventless round whose promise still opened peers'
+                // horizons: the demand-driven null message.
+                nulls += 1;
+            }
+        }
+        let spent = round_start.elapsed().as_nanos() as u64;
+        if stepped {
+            progressed = true;
+            busy_ns += spent;
+        } else {
+            stall_ns += spent;
         }
         if progressed {
             stuck_since = None;
@@ -421,7 +501,7 @@ fn run_lp_block(
                 >= 60
             {
                 panic!(
-                    "coupled shard driver: no global clock progress for 60s \
+                    "site-LP driver: no global clock progress for 60s \
                      (min clock {min_clock} ms, end {end} ms) — conservative \
                      protocol wedged"
                 );
@@ -438,6 +518,23 @@ fn run_lp_block(
         .zip(trips)
         .map(|((site, lp), trip)| (site, lp, trip))
         .collect()
+}
+
+/// The exact horizon of LP `i` within a block: nothing can still reach it
+/// strictly below `min(external horizon, next_j + α for every other LP j
+/// of the block, next_i + 2α)`. A message takes exactly α, so another LP
+/// `j` cannot deliver before `next_j + α`, and a reply to anything `i`
+/// itself sends cannot arrive before `next_i + 2α` — the cap that keeps
+/// an LP whose peers are idle from running past the return of its own
+/// message. `nexts` holds `+∞` for stopped LPs.
+fn block_step_horizon(nexts: &[Time], i: usize, alpha: Time, ext_horizon: Time) -> Time {
+    let others = nexts
+        .iter()
+        .enumerate()
+        .filter(|&(j, _)| j != i)
+        .map(|(_, &t)| t)
+        .fold(f64::INFINITY, f64::min);
+    ext_horizon.min(others + alpha).min(nexts[i] + 2.0 * alpha)
 }
 
 #[cfg(test)]
